@@ -11,7 +11,7 @@ JOBS     ?= $(shell nproc 2>/dev/null || echo 4)
 CACHEDIR ?= .cache/kard
 SEED     ?= 1
 
-.PHONY: all build test vet race bench bench-json bench-gate bench-parallel chaos fuzz daemon killrecover soak metrics-smoke trace-smoke cluster-smoke partition-smoke diskfault-smoke docs-check govulncheck repro repro-fast clean-cache clean
+.PHONY: all build test vet fmt-check race bench bench-json bench-gate bench-parallel chaos fuzz daemon killrecover soak metrics-smoke trace-smoke cluster-smoke partition-smoke diskfault-smoke docs-check govulncheck repro repro-fast clean-cache clean
 
 all: build test
 
@@ -23,6 +23,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails when gofmt would change any file, listing them.
+# CI runs the same check.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l: files need formatting:" >&2; echo "$$out" >&2; exit 1; fi
 
 # The repo is itself about race detection; it must be clean under the real
 # Go race detector, including the parallel harness.
@@ -46,10 +51,11 @@ bench-gate:
 	$(GO) run ./cmd/benchgate -baseline BENCH_baseline.json
 
 # The batched-execution benchmarks (DESIGN.md §12) on their own: the
-# steady-state access loop, the batch oracle, the 4-thread epoch path,
-# the sync-point drain stress, and Sweep — all must report 0 allocs/op.
+# steady-state access loops (plain, metrics, traced), the 4-thread epoch
+# path, the sync-point drain stress, and Sweep — all must report 0
+# allocs/op.
 bench-parallel:
-	$(GO) test -run '^$$' -bench 'AccessSteadyState|AccessBatched|ReconcileSyncPoint|Sweep' \
+	$(GO) test -run '^$$' -bench 'AccessSteadyState|AccessBatchedParallel|ReconcileSyncPoint|Sweep' \
 		-benchmem -count 3 ./internal/sim/
 
 # Fault-injection soak: race verdicts must be identical with and without

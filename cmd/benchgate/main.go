@@ -56,7 +56,6 @@ var gated = []struct {
 	{name: "AccessSteadyState", maxNS: 160},
 	{name: "AccessSteadyStateMetrics", maxNS: 200},
 	{name: "AccessSteadyStateTraced", maxNS: 200},
-	{name: "AccessBatched", maxNS: 160},
 	{name: "AccessBatchedParallel"},
 	{name: "ReconcileSyncPoint"},
 	{name: "Sweep"},

@@ -68,7 +68,7 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		metrics  = flag.String("metrics", "", "write a Prometheus-text snapshot of the run's metrics to this file at exit (- for stderr)")
-		traceOut = flag.String("trace", "", "export a Chrome trace-event JSON of the campaign to this file (Perfetto/chrome://tracing); same seed = byte-identical export")
+		traceOut = flag.String("trace", "", "export a Chrome trace-event JSON of the campaign to this file (Perfetto/chrome://tracing); same seed = byte-identical export while nothing is dropped (the export keeps up to 2M events; -table 6 at the default -scale needs ~1.4M)")
 	)
 	flag.Parse()
 
@@ -125,7 +125,9 @@ func main() {
 		if *cachedir != "" {
 			fmt.Fprintln(os.Stderr, "kardbench: -trace bypasses -cachedir (every cell must execute for a deterministic export)")
 		}
-		tracer = trace.NewTracer(*seed, "kardbench", 0)
+		// A full spool drops events, and which ones depends on worker
+		// timing, so the campaign export gets twice the daemon budget.
+		tracer = trace.NewTracer(*seed, "kardbench", 2*trace.DefaultSpoolBudget)
 		tracer.ProcessName(1, "kardbench-harness")
 		o.Trace = tracer
 	}
@@ -218,6 +220,9 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote trace to %s (trace id %016x, dropped %d)\n",
 			*traceOut, tracer.TraceID(), tracer.Dropped())
+		if tracer.Dropped() > 0 {
+			fmt.Fprintln(os.Stderr, "kardbench: the trace spool was full: the export is clipped and not reproducible; lower -scale")
+		}
 	}
 
 	// The metrics snapshot is diagnostic, never part of the table output,

@@ -46,7 +46,7 @@ type injectedError struct {
 	fe *faultinject.Error
 }
 
-func (e *injectedError) Error() string  { return fmt.Sprintf("netfault: %v", e.fe) }
+func (e *injectedError) Error() string   { return fmt.Sprintf("netfault: %v", e.fe) }
 func (e *injectedError) Unwrap() []error { return []error{ErrInjected, e.fe} }
 
 // MaxDelay caps a single injected request delay regardless of the plan's

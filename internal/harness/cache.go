@@ -108,10 +108,6 @@ type cacheKey struct {
 	// finishes. (Go marshals the plan's site map with sorted keys, so
 	// the encoding stays deterministic.)
 	Faults faultinject.Plan
-	// ExecMode participates defensively: the execution modes are proven
-	// byte-identical, but a cache must never be the thing hiding a
-	// divergence.
-	ExecMode string
 }
 
 // key normalizes the spec the same way Run does, so a spec with default
@@ -129,7 +125,6 @@ func (c *Cache) key(s Spec) cacheKey {
 		Kard:       s.Kard,
 		MaxFrames:  s.MaxFrames,
 		Faults:     s.Faults,
-		ExecMode:   s.ExecMode,
 	}
 	if k.Mode == "" {
 		k.Mode = ModeBaseline

@@ -13,17 +13,17 @@ import (
 // execution engine (DESIGN.md §12): every workload of the corpus, under
 // every comparator detector and several seeds, must produce statistics,
 // race reports, and progress summaries that encode to exactly the same
-// bytes under ExecModeSerial (the scalar oracle), ExecModeBatch (replay
-// without epochs), and ExecModeParallel (replay plus reconciliation
-// epochs, the default). Anything that moves — a clock, a TLB counter, an
-// operation count, a race record — is a bug in the batch or epoch
-// machinery, not noise.
+// bytes under ExecModeSerial (the scalar oracle) and the default
+// ExecModeParallel (batched replay plus reconciliation epochs), the mode
+// every non-test run executes. Anything that moves — a clock, a TLB
+// counter, an operation count, a race record — is a bug in the batch or
+// epoch machinery, not noise.
 //
 // The full sweep is every registered workload (the 19 applications plus
-// the race corpus) x 3 detectors x 5 seeds x 2 compared modes; -short
-// (and -race, whose ~10x slowdown would push the full sweep past any
-// sane package timeout) trims the seeds and detectors, still crossing
-// every workload's drain and epoch paths.
+// the race corpus) x 3 detectors x 5 seeds, each run in both modes;
+// -short (and -race, whose ~10x slowdown would push the full sweep past
+// any sane package timeout) trims the seeds and detectors, still
+// crossing every workload's drain and epoch paths.
 func TestExecModeDifferential(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5}
 	modes := []Mode{ModeKard, ModeTSan, ModeLockset}
@@ -63,7 +63,7 @@ func TestExecModeDifferential(t *testing.T) {
 				Mode:     k.mode,
 				Seed:     k.seed,
 				Scale:    scale,
-				ExecMode: execMode,
+				execMode: execMode,
 			}}
 		}
 		return RunMatrix(0, specs)
@@ -83,37 +83,35 @@ func TestExecModeDifferential(t *testing.T) {
 	}
 
 	oracle := runAll(sim.ExecModeSerial)
-	for _, execMode := range []string{sim.ExecModeBatch, sim.ExecModeParallel} {
-		got := runAll(execMode)
-		diverged := 0
-		for i, k := range keys {
-			label := fmt.Sprintf("%s/%s/seed%d/%s", k.workload, k.mode, k.seed, execMode)
-			if oracle[i].Err != nil || got[i].Err != nil {
-				if fmt.Sprint(oracle[i].Err) != fmt.Sprint(got[i].Err) {
-					t.Errorf("%s: error diverges: serial=%v, %s=%v", label, oracle[i].Err, execMode, got[i].Err)
-					diverged++
-				}
-				continue
-			}
-			wantStats, wantSum := encode(t, oracle[i].Result)
-			gotStats, gotSum := encode(t, got[i].Result)
-			if gotStats != wantStats {
+	got := runAll("")
+	diverged := 0
+	for i, k := range keys {
+		label := fmt.Sprintf("%s/%s/seed%d", k.workload, k.mode, k.seed)
+		if oracle[i].Err != nil || got[i].Err != nil {
+			if fmt.Sprint(oracle[i].Err) != fmt.Sprint(got[i].Err) {
+				t.Errorf("%s: error diverges: serial=%v, default=%v", label, oracle[i].Err, got[i].Err)
 				diverged++
-				if diverged <= 3 { // full JSON dumps are large; cap the noise
-					t.Errorf("%s: Stats diverge from serial:\nserial: %s\ngot:    %s", label, wantStats, gotStats)
-				} else {
-					t.Errorf("%s: Stats diverge from serial", label)
-				}
 			}
-			if gotSum != wantSum {
-				t.Errorf("%s: Summary diverges from serial:\nserial: %s\ngot:    %s", label, wantSum, gotSum)
-			}
-			if nw, ng := len(oracle[i].Result.Stats.Races), len(got[i].Result.Stats.Races); nw != ng {
-				t.Errorf("%s: race count diverges: serial=%d, %s=%d", label, nw, execMode, ng)
+			continue
+		}
+		wantStats, wantSum := encode(t, oracle[i].Result)
+		gotStats, gotSum := encode(t, got[i].Result)
+		if gotStats != wantStats {
+			diverged++
+			if diverged <= 3 { // full JSON dumps are large; cap the noise
+				t.Errorf("%s: Stats diverge from serial:\nserial: %s\ngot:    %s", label, wantStats, gotStats)
+			} else {
+				t.Errorf("%s: Stats diverge from serial", label)
 			}
 		}
-		if diverged == 0 {
-			t.Logf("%s: %d cells byte-identical to serial", execMode, len(keys))
+		if gotSum != wantSum {
+			t.Errorf("%s: Summary diverges from serial:\nserial: %s\ngot:    %s", label, wantSum, gotSum)
 		}
+		if nw, ng := len(oracle[i].Result.Stats.Races), len(got[i].Result.Stats.Races); nw != ng {
+			t.Errorf("%s: race count diverges: serial=%d, default=%d", label, nw, ng)
+		}
+	}
+	if diverged == 0 {
+		t.Logf("%d cells byte-identical to serial", len(keys))
 	}
 }

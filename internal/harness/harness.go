@@ -69,12 +69,6 @@ type Options struct {
 	TLBEntries int
 	// Kard tunes the Kard detector when Mode is ModeKard.
 	Kard core.Options
-	// ExecMode selects the engine's execution strategy (sim.Config.ExecMode):
-	// "" or "parallel" for batched execution with reconciliation epochs,
-	// "batch" for batching without epochs, "serial" for the scalar oracle.
-	// All three produce byte-identical results; the differential suite
-	// enforces it.
-	ExecMode string
 	// Faults, when non-empty, arms deterministic fault injection for the
 	// run (see internal/faultinject); seed and plan fully determine every
 	// injected failure.
@@ -107,6 +101,11 @@ type Options struct {
 	// behavior, so it does not participate in cache keys, and it is
 	// excluded from serialized results.
 	Trace *trace.Track `json:"-"`
+
+	// execMode is sim.Config.ExecMode. Only the package's differential
+	// test sets it, to run the serial oracle; every other run takes the
+	// engine's default.
+	execMode string
 }
 
 // Result is one finished run.
@@ -144,27 +143,16 @@ func RunWorkload(o Options, w workload.Workload) (*Result, error) {
 	if o.Workload == "" {
 		o.Workload = w.Spec().Name
 	}
+	if o.Mode == "" {
+		o.Mode = ModeBaseline
+	}
 
 	cfg := sim.Config{Seed: o.Seed, TLBEntries: o.TLBEntries, Faults: o.Faults,
 		Watchdog: o.Timeout, Deadline: o.Deadline, MaxFrames: o.MaxFrames,
-		Metrics: o.Metrics, ExecMode: o.ExecMode, Trace: o.Trace}
-	var det sim.Detector
-	var kd *core.Detector
-	switch o.Mode {
-	case ModeBaseline, "":
-		o.Mode = ModeBaseline
-	case ModeAlloc:
-		cfg.UniquePageAllocator = true
-	case ModeKard:
-		cfg.UniquePageAllocator = true
-		kd = core.New(o.Kard)
-		det = kd
-	case ModeTSan:
-		det = hb.New(hb.Options{})
-	case ModeLockset:
-		det = lockset.New()
-	default:
-		return nil, fmt.Errorf("harness: unknown mode %q", o.Mode)
+		Metrics: o.Metrics, ExecMode: o.execMode, Trace: o.Trace}
+	det, err := o.Mode.Configure(&cfg, o.Kard)
+	if err != nil {
+		return nil, err
 	}
 
 	e := sim.New(cfg, det)
@@ -174,11 +162,34 @@ func RunWorkload(o Options, w workload.Workload) (*Result, error) {
 		return nil, fmt.Errorf("harness: %s/%s: %w", o.Workload, o.Mode, err)
 	}
 	r := &Result{Options: o, Spec: w.Spec(), Stats: st, Summary: e.Summary()}
-	if kd != nil {
+	if kd, ok := det.(*core.Detector); ok {
 		r.Kard = kd.Counters()
 		r.HasKard = true
 	}
 	return r, nil
+}
+
+// Configure applies mode m's allocator choice to cfg and returns its
+// detector: nil (Baseline, no detection) for ModeBaseline and ModeAlloc,
+// a *core.Detector tuned by kard for ModeKard. It is the module's one
+// mode → allocator/detector mapping. Callers apply their own default
+// for "" first, so "" fails here like any unknown name.
+func (m Mode) Configure(cfg *sim.Config, kard core.Options) (sim.Detector, error) {
+	switch m {
+	case ModeBaseline:
+		return nil, nil
+	case ModeAlloc:
+		cfg.UniquePageAllocator = true
+		return nil, nil
+	case ModeKard:
+		cfg.UniquePageAllocator = true
+		return core.New(kard), nil
+	case ModeTSan:
+		return hb.New(hb.Options{}), nil
+	case ModeLockset:
+		return lockset.New(), nil
+	}
+	return nil, fmt.Errorf("harness: unknown mode %q", m)
 }
 
 // OverheadPct returns the percentage execution-time overhead of r over

@@ -86,7 +86,7 @@ func TestHistogramBuckets(t *testing.T) {
 	}{
 		{0, 0},
 		{0.5, 0},
-		{1, 0},    // on the boundary: le="1" includes 1
+		{1, 0}, // on the boundary: le="1" includes 1
 		{1.01, 1},
 		{5, 1},
 		{5.5, 2},

@@ -5,8 +5,7 @@ import (
 	"io"
 
 	"kard/internal/core"
-	"kard/internal/hb"
-	"kard/internal/lockset"
+	"kard/internal/harness"
 	"kard/internal/racecatalog"
 	"kard/internal/sim"
 )
@@ -21,22 +20,16 @@ func Catalog(w io.Writer, o Options) error {
 	fmt.Fprintln(w, header)
 	rule(w, len(header))
 
-	runOne := func(p racecatalog.Pattern, detector string) (int, error) {
-		var det sim.Detector
+	runOne := func(p racecatalog.Pattern, mode harness.Mode) (int, error) {
 		cfg := sim.Config{Seed: o.Seed}
-		switch detector {
-		case "kard":
-			det = core.New(core.Options{})
-			cfg.UniquePageAllocator = true
-		case "tsan":
-			det = hb.New(hb.Options{})
-		case "lockset":
-			det = lockset.New()
+		det, err := mode.Configure(&cfg, core.Options{})
+		if err != nil {
+			return 0, err
 		}
 		e := sim.New(cfg, det)
 		st, err := e.Run(func(m *sim.Thread) { p.Build(e, m) })
 		if err != nil {
-			return 0, fmt.Errorf("%s under %s: %w", p.Name, detector, err)
+			return 0, fmt.Errorf("%s under %s: %w", p.Name, mode, err)
 		}
 		seen := map[string]bool{}
 		for _, r := range st.Races {
@@ -47,8 +40,8 @@ func Catalog(w io.Writer, o Options) error {
 
 	for _, p := range racecatalog.All() {
 		var counts [3]int
-		for i, d := range []string{"kard", "tsan", "lockset"} {
-			n, err := runOne(p, d)
+		for i, m := range []harness.Mode{harness.ModeKard, harness.ModeTSan, harness.ModeLockset} {
+			n, err := runOne(p, m)
 			if err != nil {
 				return err
 			}

@@ -2,7 +2,7 @@ package sim
 
 // Batched, sharded access execution (DESIGN.md §12).
 //
-// Under ExecModeBatch and ExecModeParallel, Read/Write/Sweep append to a
+// Under ExecModeParallel (the default), Read/Write/Sweep append to a
 // fixed-size per-thread batch buffer instead of parking at the scheduler
 // per access. The buffer drains when the thread parks for any other
 // operation (a sync point: lock, barrier, malloc, compute, exit, ...),
@@ -43,18 +43,15 @@ const (
 	// ExecModeParallel is the default: batched replay plus parallel
 	// reconciliation epochs for conflict-free batches.
 	ExecModeParallel = "parallel"
-	// ExecModeBatch buffers accesses per thread and replays them through
-	// the scheduler's pick loop, but never runs epochs.
-	ExecModeBatch = "batch"
 	// ExecModeSerial is the scalar path: every access parks at the
-	// scheduler individually. It is the differential oracle the batched
-	// modes are byte-compared against.
+	// scheduler individually. It is the differential oracle the default
+	// mode is byte-compared against.
 	ExecModeSerial = "serial"
 )
 
-// DefaultBatchSize is the per-thread access buffer capacity when
-// Config.BatchSize is zero. One park/resume cycle (~750 ns) amortized
-// over 128 accesses costs ~6 ns/access.
+// DefaultBatchSize is the per-thread access buffer capacity. One
+// park/resume cycle (~750 ns) amortized over 128 accesses costs
+// ~6 ns/access.
 const DefaultBatchSize = 128
 
 // epochMinEntries is the smallest total number of buffered accesses worth
@@ -78,7 +75,7 @@ type batchEntry struct {
 // the run token, like any other operation submission.
 func (t *Thread) bufferAccess(ent batchEntry) {
 	if t.batch == nil {
-		t.batch = make([]batchEntry, 0, t.eng.batchSize)
+		t.batch = make([]batchEntry, 0, DefaultBatchSize)
 	}
 	t.batch = append(t.batch, ent)
 	if len(t.batch) == cap(t.batch) {
@@ -124,6 +121,9 @@ func (t *Thread) clearBatch() {
 // scalar engine would be in, where the thread body would have panicked at
 // this access and never submitted the rest.
 func (e *Engine) executeBatchEntry(t *Thread) {
+	if t.batchPos == 0 {
+		e.traceDrain(t)
+	}
 	ent := &t.batch[t.batchPos]
 	t.batchPos++
 	var err error
@@ -141,6 +141,14 @@ func (e *Engine) executeBatchEntry(t *Thread) {
 		t.clearBatch()
 	}
 	e.activate(t)
+}
+
+// traceDrain records a drained batch's trace instant when the batch
+// starts to execute, by replay or in an epoch. Threads that resume
+// together park in whatever order the Go scheduler runs them, so the
+// instant is not recorded at arrival: execution order is deterministic.
+func (e *Engine) traceDrain(t *Thread) {
+	e.tr.InstantArg2("drain", "sim", int64(t.clock), "depth", "", int64(len(t.batch)), "thread", int64(t.id))
 }
 
 // noteDrain records one batch drain for the run's telemetry: a histogram
@@ -286,6 +294,9 @@ func (e *Engine) runEpoch() {
 	for _, t := range e.threads {
 		if inEpoch(t) {
 			e.epochThreads = append(e.epochThreads, t)
+			if t.batchPos == 0 {
+				e.traceDrain(t)
+			}
 		}
 	}
 	// Epoch spans record on the scheduler goroutine with logical

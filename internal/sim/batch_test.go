@@ -65,9 +65,9 @@ func runMode(t *testing.T, mode string, seed int64, body func(e *Engine, m *Thre
 }
 
 // TestExecModesByteIdentical is the engine-level differential check: the
-// same program under serial, batch, and parallel execution must produce
-// byte-identical statistics — execution times, operation counts, TLB
-// counters, everything JSON encodes. The full workload corpus version
+// same program under serial and parallel execution (explicit and the ""
+// default) must produce byte-identical statistics — execution times,
+// operation counts, TLB counters, everything JSON encodes. The full workload corpus version
 // lives in the harness package; this one pins the engine in isolation.
 func TestExecModesByteIdentical(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
@@ -77,7 +77,7 @@ func TestExecModesByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []string{ExecModeBatch, ExecModeParallel, ""} {
+		for _, mode := range []string{ExecModeParallel, ""} {
 			got, _ := runMode(t, mode, seed, body)
 			gotJS, err := json.Marshal(got)
 			if err != nil {
@@ -95,8 +95,8 @@ func TestExecModesByteIdentical(t *testing.T) {
 // multi-threaded access-heavy program under ExecModeParallel must commit
 // at least one reconciliation epoch, and its stats must still match the
 // serial oracle (TestExecModesByteIdentical covers the comparison; this
-// test guards against epochs silently never firing, which would make the
-// parallel mode an expensive alias for batch mode).
+// test guards against epochs silently never firing, which would leave
+// the epoch machinery untested).
 func TestEpochsFire(t *testing.T) {
 	body := epochWorkload(4, 400)
 	_, e := runMode(t, ExecModeParallel, 1, body)
@@ -109,10 +109,10 @@ func TestEpochsFire(t *testing.T) {
 	}
 	t.Logf("drains=%d epochs=%d epochAccesses=%d", drains, epochs, accesses)
 
-	// Batch mode must never run epochs.
-	_, eb := runMode(t, ExecModeBatch, 1, body)
-	if _, epochs, _, _ := eb.BatchStats(); epochs != 0 {
-		t.Fatalf("batch mode ran %d epochs", epochs)
+	// The default mode is the parallel one, epochs included.
+	_, ed := runMode(t, "", 1, body)
+	if _, got, _, _ := ed.BatchStats(); got != epochs {
+		t.Fatalf("default mode ran %d epochs, parallel %d", got, epochs)
 	}
 	// Serial mode must never drain batches.
 	_, es := runMode(t, ExecModeSerial, 1, body)
@@ -169,7 +169,7 @@ func (d *retainingDetector) OnAccess(a *Access) cycles.Duration {
 // that retains must observably break — this is what makes the reuse safe
 // to rely on for the zero-allocation fast path.
 func TestRetainingDetectorIsCaught(t *testing.T) {
-	for _, mode := range []string{ExecModeSerial, ExecModeBatch} {
+	for _, mode := range []string{ExecModeSerial, ""} {
 		det := &retainingDetector{}
 		e := New(Config{ExecMode: mode}, det)
 		if _, err := e.Run(func(m *Thread) {
@@ -276,18 +276,18 @@ func TestFlushSemantics(t *testing.T) {
 }
 
 // TestBufferFullDrains: the buffer drains automatically when it reaches
-// the configured capacity, without an intervening sync point.
+// its capacity, without an intervening sync point.
 func TestBufferFullDrains(t *testing.T) {
-	e := New(Config{BatchSize: 8}, nil)
+	e := New(Config{}, nil)
 	if _, err := e.Run(func(m *Thread) {
 		o := m.Malloc(64, "o")
-		for i := 0; i < 7; i++ {
+		for i := 0; i < DefaultBatchSize-1; i++ {
 			m.Read(o, 0, 8, "r")
 		}
-		if n := m.BufferedAccesses(); n != 7 {
-			t.Fatalf("BufferedAccesses = %d, want 7", n)
+		if n := m.BufferedAccesses(); n != DefaultBatchSize-1 {
+			t.Fatalf("BufferedAccesses = %d, want %d", n, DefaultBatchSize-1)
 		}
-		m.Read(o, 0, 8, "r8") // fills the buffer: drains
+		m.Read(o, 0, 8, "last") // fills the buffer: drains
 		if n := m.BufferedAccesses(); n != 0 {
 			t.Fatalf("BufferedAccesses after fill = %d, want 0", n)
 		}

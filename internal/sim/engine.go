@@ -62,22 +62,19 @@ type Config struct {
 	// ExecMode selects the access execution path (DESIGN.md §12):
 	// ExecModeParallel ("" and the default) buffers accesses per thread,
 	// replays them through the scheduler, and commits conflict-free
-	// batches concurrently in reconciliation epochs; ExecModeBatch
-	// buffers and replays without epochs; ExecModeSerial parks every
-	// access individually — the differential oracle. All three produce
+	// batches concurrently in reconciliation epochs; ExecModeSerial parks
+	// every access individually — the differential oracle. Both produce
 	// byte-identical statistics, verdicts, and race reports. New panics
 	// on any other value.
 	ExecMode string
-	// BatchSize overrides the per-thread access buffer capacity
-	// (0 = DefaultBatchSize). Meaningless under ExecModeSerial.
-	BatchSize int
 	// Trace, when non-nil, receives structured span events from the run:
-	// the run span, batch-drain instants, reconciliation-epoch spans with
-	// their commit/replay phases, epoch vetoes, watchdog firings, and
-	// fault-injection retries. Events record at operation-boundary rate,
-	// never per access, and all timestamps are virtual clocks — a traced
-	// run is as deterministic as an untraced one, and a nil Trace costs
-	// one predictable branch per boundary (benchgate's
+	// the run span, sync-operation and malloc/free instants, batch-drain
+	// instants, reconciliation-epoch spans with their commit/replay
+	// phases, epoch vetoes, races, watchdog firings, and fault-injection
+	// retries. Events record at operation-boundary rate, never per
+	// access, and all timestamps are virtual clocks — a traced run is as
+	// deterministic as an untraced one, and a nil Trace costs one
+	// predictable branch per boundary (benchgate's
 	// AccessSteadyStateTraced run pins the traced cost).
 	Trace *trace.Track
 }
@@ -153,9 +150,8 @@ type Engine struct {
 	scratch Access
 
 	// Batched execution (DESIGN.md §12, internal/sim/batch.go).
-	execMode  string // resolved Config.ExecMode
-	batching  bool   // execMode != ExecModeSerial
-	batchSize int
+	execMode string // resolved Config.ExecMode
+	batching bool   // execMode == ExecModeParallel
 	// epochDet is non-nil when reconciliation epochs may run: parallel
 	// mode, an EpochDetector, and the CLOCK dTLB (the set-associative
 	// model's LRU touches are order-sensitive, so it never epochs).
@@ -215,27 +211,15 @@ func New(cfg Config, det Detector) *Engine {
 	switch cfg.ExecMode {
 	case "", ExecModeParallel:
 		e.execMode = ExecModeParallel
-	case ExecModeBatch, ExecModeSerial:
-		e.execMode = cfg.ExecMode
-	default:
-		panic(fmt.Sprintf("sim: unknown ExecMode %q (want %q, %q, or %q)",
-			cfg.ExecMode, ExecModeParallel, ExecModeBatch, ExecModeSerial))
-	}
-	if _, ok := det.(interface{ SerialOnly() }); ok {
-		// The detector logs a per-event timeline (sim.Tracer): under the
-		// batched modes its OnAccess calls fire at drain time rather than
-		// at the Read/Write call sites, and a future epoch-capable wrapper
-		// would fire them concurrently. Force the scalar path so the
-		// logged timeline is the interleaving the workload actually wrote.
+	case ExecModeSerial:
 		e.execMode = ExecModeSerial
+	default:
+		panic(fmt.Sprintf("sim: unknown ExecMode %q (want %q or %q)",
+			cfg.ExecMode, ExecModeParallel, ExecModeSerial))
 	}
-	e.batching = e.execMode != ExecModeSerial
+	e.batching = e.execMode == ExecModeParallel
 	e.tr = cfg.Trace
-	e.batchSize = cfg.BatchSize
-	if e.batchSize <= 0 {
-		e.batchSize = DefaultBatchSize
-	}
-	if e.execMode == ExecModeParallel {
+	if e.batching {
 		if ed, ok := det.(EpochDetector); ok {
 			if _, clock := as.TLB().(*mem.TLB); clock {
 				e.epochDet = ed
@@ -281,9 +265,8 @@ func (e *Engine) Threads() []*Thread { return e.threads }
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// ExecMode returns the resolved execution mode the engine runs under —
-// Config.ExecMode after defaulting, or ExecModeSerial when the detector
-// demanded the scalar path (see the SerialOnly check in New).
+// ExecMode returns the resolved execution mode the engine runs under:
+// Config.ExecMode after defaulting.
 func (e *Engine) ExecMode() string { return e.execMode }
 
 // Global registers a global object before the run starts. Kard aggregates
@@ -334,6 +317,11 @@ const (
 	allocMaxRetries                   = 3
 	allocRetryBackoff cycles.Duration = 2000
 )
+
+// abortGrace bounds how long a watchdog teardown waits for threads that
+// are running body code to park, so they can be released rather than
+// leaked.
+const abortGrace = 100 * time.Millisecond
 
 // ErrWatchdog marks run failures caused by the wall-clock watchdog.
 // Callers match it with errors.Is.
@@ -545,22 +533,26 @@ func (e *Engine) takeRunErrs() error {
 
 // abortTimeout tears the run down after the watchdog fired: every thread
 // known to be parked (at the scheduler or in a synchronization queue) is
-// released with errAborted; threads still executing body code cannot be
-// stopped safely and their goroutines are leaked — by construction at
-// most one runs at a time, and it parks (dormant, still leaked) at its
-// next operation. bound is the wall-clock bound that fired;
-// deadlineBound marks it as the job deadline rather than the watchdog
-// setting.
+// released with errAborted; threads still executing body code after
+// abortGrace cannot be stopped safely and their goroutines are leaked —
+// by construction at most one runs at a time, and it parks (dormant,
+// still leaked) at its next operation. bound is the wall-clock bound
+// that fired; deadlineBound marks it as the job deadline rather than the
+// watchdog setting.
 func (e *Engine) abortTimeout(bound time.Duration, deadlineBound bool) error {
-	// Collect threads that parked between the timeout and now.
-	for {
+	// Collect threads still between the timeout and their next park. A
+	// body between two operations parks within microseconds, so only one
+	// stuck in code that never reaches an operation outlasts the grace.
+	grace := time.NewTimer(abortGrace)
+	defer grace.Stop()
+collect:
+	for len(e.parked) < e.runnable {
 		select {
 		case th := <-e.arrivals:
 			e.parked = append(e.parked, th)
-			continue
-		default:
+		case <-grace.C:
+			break collect
 		}
-		break
 	}
 	if deadlineBound {
 		obs.Flight.Recordf(obs.EvWatchdog, "job deadline fired after %v wall-clock", bound)
@@ -679,7 +671,6 @@ func (e *Engine) arrive(t *Thread) {
 	e.epochHold = false
 	if len(t.batch) > 0 && t.batchPos == 0 {
 		e.noteDrain(len(t.batch))
-		e.tr.InstantArg("drain", "sim", int64(t.clock), "depth", "", int64(len(t.batch)))
 	}
 	e.activate(t)
 }
@@ -758,6 +749,7 @@ func (e *Engine) execute(t *Thread) {
 		}
 		t.charge(d)
 		t.charge(e.detector.ObjectAllocated(t, obj))
+		e.tr.InstantArg2("malloc", "sim", int64(t.clock), "object", obj.Site, int64(obj.ID), "thread", int64(t.id))
 		t.resume <- opResult{obj: obj}
 
 	case opFree:
@@ -768,6 +760,7 @@ func (e *Engine) execute(t *Thread) {
 			return
 		}
 		t.charge(d)
+		e.tr.InstantArg2("free", "sim", int64(t.clock), "object", o.obj.Site, int64(o.obj.ID), "thread", int64(t.id))
 		t.resume <- opResult{}
 
 	case opAccess:
@@ -828,7 +821,7 @@ func (e *Engine) execute(t *Thread) {
 		t.charge(e.detector.CSExit(t, entry.Section, m))
 		t.charge(cycles.LockUncontended)
 		e.leaveSection(entry.Section)
-		e.noteSync("unlock", t.id, -1, m.name, t.clock)
+		e.noteSync("unlock", "mutex", t.id, -1, m.name, t.clock)
 		delete(t.held, m)
 		m.lastRelease = t.clock
 		m.holder = nil
@@ -858,7 +851,7 @@ func (e *Engine) execute(t *Thread) {
 		group := b.waiting
 		b.waiting = nil
 		b.passes++
-		e.noteSync("barrier", t.id, len(group), "", tmax)
+		e.noteSync("barrier", "threads", t.id, len(group), "", tmax)
 		for _, w := range group {
 			w.clock = tmax.Add(d)
 			if w != t {
@@ -872,7 +865,7 @@ func (e *Engine) execute(t *Thread) {
 		t.charge(cycles.ThreadSpawn)
 		child := e.startThread(o.site, t.clock, o.body)
 		e.detector.ThreadSpawned(t, child)
-		e.noteSync("spawn", t.id, child.id, o.site, t.clock)
+		e.noteSync("spawn", "child", t.id, child.id, o.site, t.clock)
 		t.resume <- opResult{thread: child}
 
 	case opJoin:
@@ -880,7 +873,7 @@ func (e *Engine) execute(t *Thread) {
 		if target.done {
 			t.clock = cycles.Max(t.clock, target.final)
 			e.detector.ThreadJoined(t, target)
-			e.noteSync("join", t.id, target.id, "", t.clock)
+			e.noteSync("join", "joined", t.id, target.id, "", t.clock)
 			t.resume <- opResult{}
 			return
 		}
@@ -891,12 +884,12 @@ func (e *Engine) execute(t *Thread) {
 		e.detector.ThreadExited(t)
 		t.done = true
 		t.final = t.clock
-		e.noteSync("exit", t.id, -1, "", t.final)
+		e.noteSync("exit", "", t.id, -1, "", t.final)
 		e.runnable--
 		for _, j := range t.joiners {
 			j.clock = cycles.Max(j.clock, t.final)
 			e.detector.ThreadJoined(j, t)
-			e.noteSync("join", j.id, t.id, "", j.clock)
+			e.noteSync("join", "joined", j.id, t.id, "", j.clock)
 			e.runnable++
 			j.resume <- opResult{}
 		}
@@ -939,7 +932,7 @@ func (e *Engine) grantLock(t *Thread, m *Mutex, site string) {
 	e.totalCSEntries++
 	t.Sections = append(t.Sections, &SectionEntry{Section: cs, Mutex: m, Enter: t.clock})
 	e.enterSection(cs)
-	e.noteSync("lock", t.id, -1, site, t.clock)
+	e.noteSync("lock", "site", t.id, -1, site, t.clock)
 	t.charge(e.detector.CSEnter(t, cs, m))
 }
 

@@ -43,6 +43,33 @@ func TestWatchdogAbortsHungRun(t *testing.T) {
 	}
 }
 
+// TestWatchdogReleasesThreadBetweenOperations fires the watchdog while
+// the only thread runs host code between two operations. The teardown
+// must wait for it to park and release it; a leaked goroutine would
+// block at its next operation forever and never run its defers.
+func TestWatchdogReleasesThreadBetweenOperations(t *testing.T) {
+	unwound := make(chan struct{})
+	e := New(Config{Watchdog: 10 * time.Millisecond}, nil)
+	_, err := e.Run(func(m *Thread) {
+		defer close(unwound)
+		m.Compute(1)
+		// Parks again well after the watchdog fired, well inside abortGrace.
+		time.Sleep(abortGrace / 2)
+		m.Compute(1)
+	})
+	if !errors.Is(err, ErrWatchdog) {
+		t.Fatalf("got %v, want ErrWatchdog", err)
+	}
+	if strings.Contains(err.Error(), "leaked") {
+		t.Fatalf("thread leaked: %v", err)
+	}
+	select {
+	case <-unwound:
+	case <-time.After(time.Second):
+		t.Fatal("thread goroutine was never released")
+	}
+}
+
 func TestWatchdogOffByDefault(t *testing.T) {
 	e := New(Config{}, nil)
 	st, err := e.Run(func(m *Thread) { m.Compute(100) })

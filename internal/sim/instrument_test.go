@@ -10,7 +10,8 @@ import (
 
 // TestEngineTraceDeterministic: two same-seed runs of the same workload
 // must export byte-identical Chrome JSON, and the export must carry the
-// engine's structural events (run span, drains, epochs).
+// engine's structural events (run span, drains, epochs) and its sync and
+// malloc/free instants.
 func TestEngineTraceDeterministic(t *testing.T) {
 	export := func() string {
 		tr := trace.NewTracer(7, "sim-test", 0)
@@ -29,7 +30,9 @@ func TestEngineTraceDeterministic(t *testing.T) {
 		t.Fatal("same-seed traced runs exported different Chrome JSON")
 	}
 	for _, want := range []string{`"name":"run"`, `"name":"drain"`, `"name":"epoch"`,
-		`"name":"epoch.commit"`, `"name":"epoch.replay"`, `"name":"run.outcome"`} {
+		`"name":"epoch.commit"`, `"name":"epoch.replay"`, `"name":"run.outcome"`,
+		`"name":"lock"`, `"name":"unlock"`, `"name":"barrier"`, `"name":"spawn"`,
+		`"name":"join"`, `"name":"exit"`, `"name":"malloc"`, `"name":"free"`} {
 		if !strings.Contains(a, want) {
 			t.Errorf("export missing %s", want)
 		}
@@ -53,32 +56,6 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 	traced := run(tr.Track(1, 1, "cell", 0))
 	if plain.ExecTime != traced.ExecTime || plain.AccessUnits != traced.AccessUnits {
 		t.Fatalf("tracing perturbed the run: %+v vs %+v", plain, traced)
-	}
-}
-
-// TestTracerForcesSerial is the regression test for the kardtrace
-// decorator under the batched execution modes: a Tracer-wrapped detector
-// must force ExecModeSerial whatever Config.ExecMode asked for, and its
-// logged timeline must be byte-identical to an explicitly serial run.
-func TestTracerForcesSerial(t *testing.T) {
-	run := func(mode string) (string, string) {
-		var log bytes.Buffer
-		det := NewTracer(nil, &log, 0)
-		e := New(Config{Seed: 5, ExecMode: mode}, det)
-		if _, err := e.Run(func(m *Thread) { epochWorkload(3, 200)(e, m) }); err != nil {
-			t.Fatal(err)
-		}
-		return e.ExecMode(), log.String()
-	}
-	for _, mode := range []string{ExecModeParallel, ExecModeBatch, ""} {
-		got, log := run(mode)
-		if got != ExecModeSerial {
-			t.Fatalf("Tracer under ExecMode %q ran %q, want forced serial", mode, got)
-		}
-		_, serialLog := run(ExecModeSerial)
-		if log != serialLog {
-			t.Fatalf("Tracer log under ExecMode %q differs from explicit serial", mode)
-		}
 	}
 }
 

@@ -94,14 +94,18 @@ type RaceProvenance struct {
 	SyncEdges []SyncEdge `json:",omitempty"`
 }
 
-// noteSync stores one synchronization edge into the engine's fixed ring.
-// A value store into a fixed array: allocation-free, scheduler-goroutine
+// noteSync is the one record of a synchronization edge: it stores the
+// edge into the engine's fixed ring and emits the matching trace instant,
+// whose argKey argument carries label and (when non-negative) other, and
+// whose "thread" argument the acting thread. A value store into a fixed
+// array plus a nil-safe trace call: allocation-free, scheduler-goroutine
 // only.
-func (e *Engine) noteSync(kind string, thread, other int, label string, at cycles.Time) {
+func (e *Engine) noteSync(kind, argKey string, thread, other int, label string, at cycles.Time) {
 	e.syncRing[e.syncCount%syncRingSize] = SyncEdge{
 		Kind: kind, Thread: thread, Other: other, Label: label, Time: at,
 	}
 	e.syncCount++
+	e.tr.InstantArg2(kind, "sim", int64(at), argKey, label, int64(other), "thread", int64(thread))
 }
 
 // BuildProvenance assembles the forensic record for a freshly built race
@@ -152,6 +156,6 @@ func (e *Engine) BuildProvenance(r *Race) *RaceProvenance {
 		}
 	}
 	obs.Std.TraceProvenance.Inc()
-	e.tr.InstantArg("race", "sim", int64(r.Time), "detector", r.Detector, int64(r.Thread))
+	e.tr.InstantArg2("race", "sim", int64(r.Time), "site", r.Site, -1, "thread", int64(r.Thread))
 	return p
 }

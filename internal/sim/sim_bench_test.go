@@ -130,28 +130,6 @@ func BenchmarkAccessSteadyStateTraced(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessBatched is the steady-state access loop pinned to
-// ExecModeBatch: batched replay through the scheduler's pick loop, no
-// reconciliation epochs. The delta against BenchmarkAccessSteadyState
-// (default mode) isolates what the epoch machinery costs a single-threaded
-// program — tryEpoch never admits with one thread, so the two should be
-// near-identical.
-func BenchmarkAccessBatched(b *testing.B) {
-	e := New(Config{ExecMode: ExecModeBatch}, nil)
-	if _, err := e.Run(func(m *Thread) {
-		obj := m.Malloc(64, "obj")
-		m.Read(obj, 0, 8, "warm")
-		m.Flush()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Read(obj, 0, 8, "hot")
-		}
-	}); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkAccessBatchedParallel is the multi-threaded steady state: four
 // threads hammer disjoint objects under the default parallel mode, so
 // buffer-full drains align and reconciliation epochs commit the batches

@@ -135,7 +135,7 @@ func appendEvent(buf []byte, ev *Event) []byte {
 	if ev.Ph == 'i' {
 		buf = append(buf, `,"s":"t"`...) // instant scope: thread
 	}
-	if ev.Span != 0 || ev.Parent != 0 || ev.ArgKey != "" {
+	if ev.Span != 0 || ev.Parent != 0 || ev.ArgKey != "" || ev.Arg2Key != "" {
 		buf = append(buf, `,"args":{`...)
 		sep := false
 		if ev.Span != 0 {
@@ -176,7 +176,16 @@ func appendEvent(buf []byte, ev *Event) []byte {
 				}
 				buf = append(buf, ':')
 				buf = strconv.AppendInt(buf, ev.ArgInt, 10)
+				sep = true
 			}
+		}
+		if ev.Arg2Key != "" {
+			if sep {
+				buf = append(buf, ',')
+			}
+			buf = appendJSONString(buf, ev.Arg2Key)
+			buf = append(buf, ':')
+			buf = strconv.AppendInt(buf, ev.Arg2Int, 10)
 		}
 		buf = append(buf, '}')
 	}

@@ -42,7 +42,8 @@ import (
 const DefaultTrackCapacity = 1024
 
 // DefaultSpoolBudget bounds the tracer's flushed-event spool (see
-// Tracer.budget). ~64 bytes/event keeps the worst case around 64 MiB.
+// Tracer.budget). An Event is 160 bytes, so a full spool holds 160 MiB,
+// and an export copies it once more.
 const DefaultSpoolBudget = 1 << 20
 
 // Event is one trace event. The fixed, string-typed shape (no maps, no
@@ -65,6 +66,10 @@ type Event struct {
 	ArgStr   string
 	ArgInt   int64
 	ArgIntOK bool
+	// Arg2Key and Arg2Int are an optional second, integer-only argument
+	// (Arg2Key empty = none).
+	Arg2Key string
+	Arg2Int int64
 	// Seq orders events of one track in the canonical export; it is
 	// assigned per track from a monotonic counter.
 	Seq uint64
@@ -340,10 +345,20 @@ func (k *Track) Instant(name, cat string, ts int64) {
 }
 
 // InstantArg records a point event with one argument. argStr may be
-// empty (integer-only argument).
+// empty (integer-only argument); a negative argInt is left out.
 func (k *Track) InstantArg(name, cat string, ts int64, argKey, argStr string, argInt int64) {
+	k.InstantArg2(name, cat, ts, argKey, argStr, argInt, "", 0)
+}
+
+// InstantArg2 records a point event with InstantArg's argument plus a
+// second integer argument (arg2Key empty = none).
+func (k *Track) InstantArg2(name, cat string, ts int64, argKey, argStr string, argInt int64, arg2Key string, arg2Int int64) {
+	if k == nil {
+		return // the engine calls it per sync operation: skip building the event
+	}
 	k.record(Event{Name: name, Cat: cat, Ph: 'i', Ts: ts,
-		ArgKey: argKey, ArgStr: argStr, ArgInt: argInt, ArgIntOK: true})
+		ArgKey: argKey, ArgStr: argStr, ArgInt: argInt, ArgIntOK: argInt >= 0,
+		Arg2Key: arg2Key, Arg2Int: arg2Int})
 }
 
 // Flush pushes the track's buffered events to the tracer's spool early —

@@ -167,9 +167,20 @@ func TestChromeExportShape(t *testing.T) {
 	// Escaping-sensitive content must survive the hand-built encoder.
 	tr.Track(3, 1, `quo"te\back`+"\x01", 0).Instant(`name "x"`, "c\\d", 1)
 	tr.ProcessName(3, "esc")
+	// A second integer argument follows the first; a negative first
+	// integer is left out.
+	args := tr.Track(3, 2, "args", 0)
+	args.InstantArg2("malloc", "sim", 1, "object", "conn", 12, "thread", 3)
+	args.InstantArg2("lock", "sim", 2, "site", "cs", -1, "thread", 1)
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
+	}
+	for _, want := range []string{`"args":{"object":"conn","object_n":12,"thread":3}}`,
+		`"args":{"site":"cs","thread":1}}`} {
+		if !bytes.Contains(buf.Bytes(), []byte(want)) {
+			t.Errorf("export lacks %s", want)
+		}
 	}
 	var doc struct {
 		TraceEvents []struct {

@@ -53,8 +53,6 @@ import (
 	"kard/internal/alloc"
 	"kard/internal/core"
 	"kard/internal/harness"
-	"kard/internal/hb"
-	"kard/internal/lockset"
 	"kard/internal/sim"
 	"kard/internal/workload"
 )
@@ -143,12 +141,6 @@ type Config struct {
 	TLBModel string
 	// Kard tunes the Kard detector when Detector is DetectorKard.
 	Kard KardOptions
-	// ExecMode selects the engine's execution strategy: "" or "parallel"
-	// for batched access execution with parallel reconciliation epochs,
-	// "batch" for batching without epochs, "serial" for the scalar
-	// reference path. All modes produce byte-identical reports; serial is
-	// the differential oracle.
-	ExecMode string
 }
 
 // Report is the outcome of a run.
@@ -181,27 +173,19 @@ type System struct {
 	kd  *core.Detector
 }
 
-// NewSystem creates a system with the given configuration.
+// NewSystem creates a system with the given configuration. It panics on
+// an unknown Detector.
 func NewSystem(cfg Config) *System {
-	sc := sim.Config{Seed: cfg.Seed, TLBEntries: cfg.TLBEntries, TLBModel: cfg.TLBModel,
-		ExecMode: cfg.ExecMode}
-	var det sim.Detector
-	var kd *core.Detector
-	switch cfg.Detector {
-	case DetectorNone:
-	case DetectorAllocOnly:
-		sc.UniquePageAllocator = true
-	case DetectorKard, "":
-		sc.UniquePageAllocator = true
-		kd = core.New(cfg.Kard.internal())
-		det = kd
-	case DetectorTSan:
-		det = hb.New(hb.Options{})
-	case DetectorLockset:
-		det = lockset.New()
-	default:
+	sc := sim.Config{Seed: cfg.Seed, TLBEntries: cfg.TLBEntries, TLBModel: cfg.TLBModel}
+	mode := harness.Mode(cfg.Detector)
+	if mode == "" {
+		mode = harness.ModeKard
+	}
+	det, err := mode.Configure(&sc, cfg.Kard.internal())
+	if err != nil {
 		panic(fmt.Sprintf("kard: unknown detector %q", cfg.Detector))
 	}
+	kd, _ := det.(*core.Detector)
 	return &System{eng: sim.New(sc, det), kd: kd}
 }
 
@@ -245,8 +229,6 @@ type WorkloadConfig struct {
 	Seed int64
 	// Kard tunes the detector when Detector is DetectorKard.
 	Kard KardOptions
-	// ExecMode selects the engine's execution strategy (see Config.ExecMode).
-	ExecMode string
 }
 
 // RunWorkload runs one of the packaged application models. See Workloads
@@ -263,7 +245,6 @@ func RunWorkload(name string, cfg WorkloadConfig) (*Report, error) {
 		Scale:    cfg.Scale,
 		Seed:     cfg.Seed,
 		Kard:     cfg.Kard.internal(),
-		ExecMode: cfg.ExecMode,
 	})
 	if err != nil {
 		return nil, err

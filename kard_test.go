@@ -40,7 +40,8 @@ func TestSystemQuickstart(t *testing.T) {
 }
 
 func TestSystemDetectorKinds(t *testing.T) {
-	for _, kind := range []DetectorKind{DetectorNone, DetectorAllocOnly, DetectorKard, DetectorTSan, DetectorLockset} {
+	// "" is the Kard default.
+	for _, kind := range []DetectorKind{DetectorNone, DetectorAllocOnly, DetectorKard, DetectorTSan, DetectorLockset, ""} {
 		sys := NewSystem(Config{Detector: kind})
 		rep, err := sys.Run(func(m *Thread) {
 			o := m.Malloc(64, "x")
@@ -52,10 +53,16 @@ func TestSystemDetectorKinds(t *testing.T) {
 		if rep.Stats.ExecTime == 0 {
 			t.Errorf("%s: zero exec time", kind)
 		}
-		if (kind == DetectorKard) != (rep.Kard != nil) {
+		if (kind == DetectorKard || kind == "") != (rep.Kard != nil) {
 			t.Errorf("%s: kard counters presence wrong", kind)
 		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewSystem accepted an unknown detector")
+		}
+	}()
+	NewSystem(Config{Detector: "bogus"})
 }
 
 func TestRunWorkloadFacade(t *testing.T) {

@@ -4,7 +4,11 @@
 # Three properties, against the real binaries:
 #
 #  1. Determinism: two `kardbench -trace` runs of the same campaign with
-#     the same seed must export byte-identical Chrome trace JSON.
+#     the same seed must export byte-identical Chrome trace JSON, and
+#     neither may drop an event to the spool budget (kardbench must
+#     report `dropped 0`): which events a full spool drops depends on
+#     the order worker tracks flush, so a drop makes the export
+#     nondeterministic.
 #  2. Validity: the export must pass `metricscheck -trace` — well-formed
 #     JSON, every 'E' closes a matching 'B' on its (pid, tid) row,
 #     timestamps monotonic per row.
@@ -27,9 +31,16 @@ go build -o "$WORK/kardbench" ./cmd/kardbench
 go build -o "$WORK/kardd" ./cmd/kardd
 go build -o "$WORK/metricscheck" ./cmd/metricscheck
 
-echo "== 1. same-seed campaign exports are byte-identical"
-"$WORK/kardbench" -table 6 -scale "$SCALE" -jobs 4 -trace "$WORK/t1.json" >/dev/null
-"$WORK/kardbench" -table 6 -scale "$SCALE" -jobs 4 -trace "$WORK/t2.json" >/dev/null
+echo "== 1. same-seed campaign exports are complete and byte-identical"
+for n in 1 2; do
+  if ! "$WORK/kardbench" -table 6 -scale "$SCALE" -jobs 4 -trace "$WORK/t$n.json" >/dev/null 2>"$WORK/t$n.log" ||
+    ! grep -q 'dropped 0)' "$WORK/t$n.log"; then
+    echo "FAIL: trace campaign $n failed or did not report dropped 0:" >&2
+    cat "$WORK/t$n.log" >&2
+    exit 1
+  fi
+done
+grep 'wrote trace' "$WORK/t1.log"
 if ! cmp -s "$WORK/t1.json" "$WORK/t2.json"; then
   echo "FAIL: same-seed trace exports differ" >&2
   exit 1
