@@ -64,9 +64,11 @@ bench-parallel:
 chaos:
 	$(GO) run ./cmd/kardbench -chaos -seed $(SEED) -jobs $(JOBS)
 
-# Fuzz the allocator's graceful degradation under arbitrary fault plans.
+# Fuzz the allocator's graceful degradation under arbitrary fault plans,
+# then its unique-page placement invariants.
 fuzz:
 	$(GO) test -fuzz=FuzzAllocatorFaults -fuzztime=20s -run '^$$' ./internal/alloc/
+	$(GO) test -fuzz=FuzzUniquePageSequence -fuzztime=10s -run '^$$' ./internal/alloc/
 
 # In-process kardd service smoke: run the real-world workloads as
 # detection jobs through a crash-and-recover cycle; verdicts must be

@@ -30,25 +30,3 @@ func BenchmarkMallocNative(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkLookup measures faulting-address → object resolution, the
-// first step of Kard's fault handler.
-func BenchmarkLookup(b *testing.B) {
-	as := mem.NewAddressSpace(0)
-	u := NewUniquePage(as, NewObjectTable(as))
-	var objs []*Object
-	for i := 0; i < 1024; i++ {
-		o, _, err := u.Malloc(64, "bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		objs = append(objs, o)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o := objs[i%len(objs)]
-		if got := u.Objects().Lookup(o.Base + 13); got != o {
-			b.Fatal("lookup failed")
-		}
-	}
-}

@@ -1,6 +1,8 @@
 package alloc
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -17,6 +19,35 @@ func newNative(t *testing.T) *Native {
 	t.Helper()
 	as := mem.NewAddressSpace(0)
 	return NewNative(as, NewObjectTable(as))
+}
+
+// placementErr reports how o breaks the placement a faulting address
+// relies on to resolve to o: o must contain every probed byte, and its
+// page span [FirstPage, FirstPage+NumPages) must cover its padded extent
+// [Base, Base+Padded).
+func placementErr(o *Object, probes ...mem.Addr) error {
+	for _, a := range probes {
+		if !o.Contains(a) {
+			return fmt.Errorf("%s does not contain %s", o, a)
+		}
+	}
+	end := o.FirstPage + mem.Page(o.NumPages)
+	if o.FirstPage.Base() > o.Base || end.Base() < o.Base+mem.Addr(o.Padded) {
+		return fmt.Errorf("%s: pages [%d, %d) do not cover its %d padded bytes", o, o.FirstPage, end, o.Padded)
+	}
+	return nil
+}
+
+// freedErr reports whether o, already freed through a, is marked freed
+// and refuses a second free as a double free.
+func freedErr(a Allocator, o *Object) error {
+	if !o.Freed() {
+		return fmt.Errorf("%s not marked freed", o)
+	}
+	if _, err := a.Free(o); err == nil || !strings.Contains(err.Error(), "double free") {
+		return fmt.Errorf("second free of %s: got %v, want a double-free error", o, err)
+	}
+	return nil
 }
 
 func TestAlign(t *testing.T) {
@@ -154,11 +185,8 @@ func TestUniquePageFreeNoRecycle(t *testing.T) {
 	if got := u.space.PhysicalBytes(); got < mem.PageSize {
 		t.Errorf("physical = %d; frame should remain allocated", got)
 	}
-	if _, err := u.Free(o); err == nil {
-		t.Error("double free must fail")
-	}
-	if u.objects.Lookup(o.Base) != nil {
-		t.Error("freed object still resolvable")
+	if err := freedErr(u, o); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -270,26 +298,26 @@ func TestNativeGlobalsPacked(t *testing.T) {
 	}
 }
 
+// The TestObjectLookup tests check the placement an address → object
+// resolution relies on, against the objects the allocator returned.
 func TestObjectLookup(t *testing.T) {
 	u := newUP(t)
 	o, _, err := u.Malloc(100, "s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := u.Objects()
-	for _, addr := range []mem.Addr{o.Base, o.Base + 50, o.Base + 99} {
-		if got := tbl.Lookup(addr); got != o {
-			t.Errorf("Lookup(%s) = %v, want %v", addr, got, o)
-		}
+	if err := placementErr(o, o.Base, o.Base+50, o.Base+99); err != nil {
+		t.Error(err)
 	}
-	if got := tbl.Lookup(o.Base + mem.Addr(o.Padded)); got != nil {
-		t.Errorf("Lookup past padding = %v, want nil", got)
+	if o.Contains(o.Base+mem.Addr(o.Size)) || o.Contains(o.Base-1) {
+		t.Errorf("%s contains a byte outside its payload", o)
 	}
-	if got := tbl.Lookup(o.Base - 1); got != nil {
-		t.Errorf("Lookup before base = %v, want nil", got)
+	p, _, err := u.Malloc(100, "t")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tbl.Get(o.ID) != o {
-		t.Error("Get by ID failed")
+	if p.ID != o.ID+1 {
+		t.Errorf("second object ID = %d, want %d", p.ID, o.ID+1)
 	}
 }
 
@@ -299,8 +327,11 @@ func TestObjectLookupMultiPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := u.Objects().Lookup(o.Base + 2*mem.PageSize + 17); got != o {
-		t.Error("lookup inside later page failed")
+	if o.NumPages != 3 {
+		t.Errorf("pages = %d, want 3", o.NumPages)
+	}
+	if err := placementErr(o, o.Base+2*mem.PageSize+17); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -314,15 +345,21 @@ func TestObjectLookupPackedPage(t *testing.T) {
 		}
 		objs = append(objs, o)
 	}
-	for _, o := range objs {
-		if got := n.Objects().Lookup(o.Base + 5); got != o {
-			t.Errorf("Lookup inside %s = %v", o, got)
+	for i, o := range objs {
+		if err := placementErr(o, o.Base+5); err != nil {
+			t.Error(err)
+		}
+		for _, p := range objs[:i] {
+			if o.Base < p.Base+mem.Addr(p.Padded) && p.Base < o.Base+mem.Addr(o.Padded) {
+				t.Errorf("%s overlaps %s", o, p)
+			}
 		}
 	}
 }
 
-// Property: for any sequence of small allocations, every allocation is
-// resolvable at every interior byte and no two live objects overlap.
+// Property: for any sequence of small allocations, every allocation
+// contains every interior byte within its page span and no two live
+// objects overlap.
 func TestUniquePageNoOverlapProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {
 		as := mem.NewAddressSpace(0)
@@ -341,7 +378,7 @@ func TestUniquePageNoOverlapProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if u.Objects().Lookup(o.Base+mem.Addr(size-1)) != o {
+			if placementErr(o, o.Base, o.Base+mem.Addr(size-1)) != nil {
 				return false
 			}
 			pte, ok := as.Peek(o.Base)
@@ -385,10 +422,13 @@ func TestObjectTableCounts(t *testing.T) {
 	if tbl.Live() != 2 || tbl.PeakLive() != 5 {
 		t.Errorf("after frees live=%d peak=%d", tbl.Live(), tbl.PeakLive())
 	}
-	n := 0
-	tbl.ForEach(func(*Object) { n++ })
-	if n != 2 {
-		t.Errorf("ForEach visited %d, want 2", n)
+	if tbl.Created() != 5 {
+		t.Errorf("created = %d after frees, want 5", tbl.Created())
+	}
+	for i, o := range objs {
+		if want := i < 3; o.Freed() != want {
+			t.Errorf("%s freed = %v, want %v", o, o.Freed(), want)
+		}
 	}
 }
 
@@ -413,6 +453,9 @@ func TestNativeNoOverlapProperty(t *testing.T) {
 					if _, err := n.Free(o); err != nil {
 						return false
 					}
+					if freedErr(n, o) != nil {
+						return false
+					}
 					delete(live, o.ID)
 				}
 				continue
@@ -430,7 +473,7 @@ func TestNativeNoOverlapProperty(t *testing.T) {
 			}
 			live[o.ID] = ns
 			objs = append(objs, o)
-			if n.Objects().Lookup(o.Base+mem.Addr(size-1)) != o {
+			if placementErr(o, o.Base, o.Base+mem.Addr(size-1)) != nil {
 				return false
 			}
 		}

@@ -24,7 +24,8 @@ type Allocator interface {
 	// main thread during startup.
 	Global(size uint64, name string) (*Object, cycles.Duration, error)
 
-	// Objects returns the shared object table for address resolution.
+	// Objects returns the shared object table: ID minting, live-object
+	// counts and per-object metadata charges.
 	Objects() *ObjectTable
 
 	// Space returns the address space the allocator operates on.

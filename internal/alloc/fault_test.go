@@ -32,15 +32,19 @@ func TestUniquePageDegradesToNativeFallback(t *testing.T) {
 		t.Errorf("degraded objects on pages %d and %d, expected compact sharing",
 			objs[0].FirstPage, objs[1].FirstPage)
 	}
-	// Lookup and free still work, and frees must not unmap shared pages.
+	// Placement and free still work, and frees must not unmap shared
+	// pages.
 	for _, o := range objs {
-		if got := u.Objects().Lookup(o.Base); got != o {
-			t.Fatalf("lookup failed for degraded %s", o)
+		if err := placementErr(o, o.Base); err != nil {
+			t.Fatalf("degraded object: %v", err)
 		}
 	}
 	for _, o := range objs {
 		if _, err := u.Free(o); err != nil {
 			t.Fatalf("free of degraded %s: %v", o, err)
+		}
+		if err := freedErr(u, o); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -71,8 +75,8 @@ func TestUniquePageTransientFaultPropagates(t *testing.T) {
 // FuzzAllocatorFaults drives the consolidated allocator with arbitrary
 // malloc/free sequences under a fuzz-chosen fault plan and checks graceful
 // degradation: no panic, every error is an injected fault (the only ones
-// the plan can produce), and every successful allocation is resolvable and
-// freeable.
+// the plan can produce), and every successful allocation is placed within
+// its page span and freeable exactly once.
 func FuzzAllocatorFaults(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(7), []byte{10, 200, 3, 40, 7})
 	f.Add(int64(42), uint8(1), uint8(2), []byte{255, 255, 0, 0, 128, 64, 32, 16})
@@ -101,6 +105,9 @@ func FuzzAllocatorFaults(f *testing.F) {
 				if _, err := u.Free(live[idx]); err != nil {
 					t.Fatalf("free: %v", err)
 				}
+				if err := freedErr(u, live[idx]); err != nil {
+					t.Fatal(err)
+				}
 				live = append(live[:idx], live[idx+1:]...)
 				continue
 			}
@@ -112,8 +119,8 @@ func FuzzAllocatorFaults(f *testing.F) {
 				}
 				continue
 			}
-			if got := u.Objects().Lookup(o.Base + mem.Addr(size-1)); got != o {
-				t.Fatalf("lookup failed for %s", o)
+			if err := placementErr(o, o.Base, o.Base+mem.Addr(size-1)); err != nil {
+				t.Fatal(err)
 			}
 			live = append(live, o)
 		}

@@ -8,8 +8,8 @@ import (
 
 // FuzzUniquePageSequence drives the consolidated allocator with arbitrary
 // malloc/free sequences and checks its structural invariants: unique
-// virtual pages, resolvable addresses, no physical overlap of live
-// consolidated slots.
+// virtual pages, mapped while the object lives and unmapped once it is
+// freed; every object placed within its page span; frees exactly once.
 func FuzzUniquePageSequence(f *testing.F) {
 	f.Add([]byte{10, 200, 3, 40, 7})
 	f.Add([]byte{255, 255, 0, 0, 128, 64, 32, 16})
@@ -28,8 +28,14 @@ func FuzzUniquePageSequence(f *testing.F) {
 				if _, err := u.Free(o); err != nil {
 					t.Fatal(err)
 				}
+				if err := freedErr(u, o); err != nil {
+					t.Fatal(err)
+				}
 				last := o.FirstPage + mem.Page(o.NumPages) - 1
 				for p := o.FirstPage; p <= last; p++ {
+					if as.Mapped(p.Base()) {
+						t.Fatalf("page %d of freed %s still mapped", p, o)
+					}
 					delete(pages, p)
 				}
 				live = append(live[:idx], live[idx+1:]...)
@@ -45,10 +51,13 @@ func FuzzUniquePageSequence(f *testing.F) {
 				if prev, taken := pages[p]; taken {
 					t.Fatalf("page %d shared by objects %d and %d", p, prev, o.ID)
 				}
+				if !as.Mapped(p.Base()) {
+					t.Fatalf("page %d of live %s not mapped", p, o)
+				}
 				pages[p] = o.ID
 			}
-			if got := u.Objects().Lookup(o.Base + mem.Addr(size-1)); got != o {
-				t.Fatalf("lookup failed for %s", o)
+			if err := placementErr(o, o.Base, o.Base+mem.Addr(size-1)); err != nil {
+				t.Fatal(err)
 			}
 			live = append(live, o)
 		}

@@ -10,14 +10,15 @@
 //     is issued per allocation, and freed virtual pages are not recycled
 //     — all three choices follow §6 verbatim, including their costs.
 //
-// Both allocators register object metadata (base, size, site) in an
-// ObjectTable so that a faulting address can be mapped back to its object,
-// which Kard's fault handler requires (§5.3).
+// Both allocators register every object in an ObjectTable, which mints its
+// ID and charges its metadata (base, size, site) to simulated RSS per
+// object. Simulated accesses carry their object, so a fault needs no
+// address → object lookup on the host; Kard's handler pays the modelled
+// cost of one (§5.3).
 package alloc
 
 import (
 	"fmt"
-	"sort"
 
 	"kard/internal/mem"
 )
@@ -62,17 +63,18 @@ func (o *Object) String() string {
 }
 
 // objectMetadataBytes approximates the allocator bookkeeping per object
-// (base, size, map slots) charged against simulated RSS. Kard maintains
-// this metadata to locate the object for any faulting address (§5.3).
+// (base, size, site) charged against simulated RSS. Kard keeps this
+// metadata to resolve a faulting address to its object (§5.3).
 const objectMetadataBytes = 96
 
-// ObjectTable maps addresses to live objects. Lookups must work for any
-// address inside an object, since faults report the exact faulting byte.
+// ObjectTable mints object IDs, counts live objects and charges each
+// object's metadata to simulated RSS. It keeps no address index: every
+// simulated access already carries its *Object, so the fault handler
+// charges the modelled lookup cost (cycles.MapLookup) without performing
+// one on the host.
 type ObjectTable struct {
 	space   *mem.AddressSpace
 	nextID  ObjectID
-	byID    map[ObjectID]*Object
-	byPage  map[mem.Page][]*Object // objects overlapping each page, sorted by Base
 	live    int
 	peak    int
 	created uint64
@@ -80,11 +82,7 @@ type ObjectTable struct {
 
 // NewObjectTable creates an empty table charging metadata to as.
 func NewObjectTable(as *mem.AddressSpace) *ObjectTable {
-	return &ObjectTable{
-		space:  as,
-		byID:   make(map[ObjectID]*Object),
-		byPage: make(map[mem.Page][]*Object),
-	}
+	return &ObjectTable{space: as}
 }
 
 // Insert registers a new object and returns it.
@@ -95,15 +93,6 @@ func (t *ObjectTable) Insert(base mem.Addr, size, padded uint64, global bool, si
 		ID: t.nextID, Base: base, Size: size, Padded: padded,
 		Global: global, Site: site,
 		FirstPage: first, NumPages: uint64(last-first) + 1,
-	}
-	t.byID[o.ID] = o
-	for p := first; p <= last; p++ {
-		s := t.byPage[p]
-		i := sort.Search(len(s), func(i int) bool { return s[i].Base > o.Base })
-		s = append(s, nil)
-		copy(s[i+1:], s[i:])
-		s[i] = o
-		t.byPage[p] = s
 	}
 	t.live++
 	t.created++
@@ -120,47 +109,10 @@ func (t *ObjectTable) Remove(o *Object) error {
 		return fmt.Errorf("alloc: double free of %s", o)
 	}
 	o.freed = true
-	delete(t.byID, o.ID)
-	last := o.FirstPage + mem.Page(o.NumPages) - 1
-	for p := o.FirstPage; p <= last; p++ {
-		s := t.byPage[p]
-		for i, cand := range s {
-			if cand == o {
-				s = append(s[:i], s[i+1:]...)
-				break
-			}
-		}
-		if len(s) == 0 {
-			delete(t.byPage, p)
-		} else {
-			t.byPage[p] = s
-		}
-	}
 	t.live--
 	t.space.ChargeMetadata(-objectMetadataBytes)
 	return nil
 }
-
-// Lookup returns the live object containing addr, or nil. The padded
-// region counts as part of the object: a fault inside the padding is
-// attributed to the object that owns the page, exactly as Kard's
-// metadata-based resolution would.
-func (t *ObjectTable) Lookup(addr mem.Addr) *Object {
-	s := t.byPage[mem.PageOf(addr)]
-	// Binary search for the last object with Base <= addr.
-	i := sort.Search(len(s), func(i int) bool { return s[i].Base > addr })
-	if i == 0 {
-		return nil
-	}
-	o := s[i-1]
-	if addr < o.Base+mem.Addr(o.Padded) {
-		return o
-	}
-	return nil
-}
-
-// Get returns the object with the given ID, if live.
-func (t *ObjectTable) Get(id ObjectID) *Object { return t.byID[id] }
 
 // Live returns the number of live objects.
 func (t *ObjectTable) Live() int { return t.live }
@@ -171,10 +123,3 @@ func (t *ObjectTable) PeakLive() int { return t.peak }
 // Created returns the total number of objects ever registered — the
 // "sharable objects" count of Table 3.
 func (t *ObjectTable) Created() uint64 { return t.created }
-
-// ForEach visits all live objects in unspecified order.
-func (t *ObjectTable) ForEach(f func(*Object)) {
-	for _, o := range t.byID {
-		f(o)
-	}
-}

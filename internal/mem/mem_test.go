@@ -118,6 +118,33 @@ func TestMunmap(t *testing.T) {
 	}
 }
 
+// TestMunmapKeepsEmptiedLeaf maps and unmaps one page at a time, as the
+// unique-page allocator does on every malloc/free. Unmapping the last page
+// of a radix leaf keeps the leaf, so the next mmap in its region allocates
+// nothing, and walks skip the retained empty leaf.
+func TestMunmapKeepsEmptiedLeaf(t *testing.T) {
+	as := NewAddressSpace(0)
+	mapUnmap := func() {
+		a, err := as.MmapAnon(1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := as.Munmap(a, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mapUnmap()
+	if allocs := testing.AllocsPerRun(100, mapUnmap); allocs != 0 {
+		t.Errorf("mmap+munmap of one page: %v allocs, want 0", allocs)
+	}
+	if got := as.PagesWithKey(0); len(got) != 0 {
+		t.Errorf("PagesWithKey(0) = %v after unmapping every page, want none", got)
+	}
+	if got := as.MappedPages(); got != 0 {
+		t.Errorf("mapped pages = %d, want 0", got)
+	}
+}
+
 func TestMunmapRejectsHoles(t *testing.T) {
 	as := NewAddressSpace(0)
 	a := mustMmap(t, as, 3, 0)

@@ -65,7 +65,6 @@ type radixL3 struct{ kids [radixFan]*radixLeaf }
 
 type radixLeaf struct {
 	present [radixFan / 64]uint64
-	live    int
 	ptes    [radixFan]PTE
 }
 
@@ -134,7 +133,6 @@ func (t *radixTable) insert(p Page, pte PTE) *PTE {
 	i := p & radixMask
 	if leaf.present[i>>6]&(1<<(i&63)) == 0 {
 		leaf.present[i>>6] |= 1 << (i & 63)
-		leaf.live++
 		t.n++
 	}
 	leaf.ptes[i] = pte
@@ -158,17 +156,14 @@ func (t *radixTable) remove(p Page) {
 	if leaf.present[i>>6]&(1<<(i&63)) == 0 {
 		return
 	}
+	// An emptied leaf stays linked, like the interior nodes: the bump
+	// allocator above maps the next pages of the same region, and
+	// unlinking would allocate the ~257 KiB leaf again on the next mmap.
+	// Virtual pages are never reused, so retained leaves are bounded by
+	// the pages ever reserved.
 	leaf.present[i>>6] &^= 1 << (i & 63)
 	leaf.ptes[i] = PTE{} // drop the Frame and Memfd references
-	leaf.live--
 	t.n--
-	if leaf.live == 0 {
-		// Unlink the empty leaf so long-running address spaces that
-		// unmap whole regions give the node back to the Go heap.
-		// Interior nodes are kept: they are small relative to leaves
-		// and regions are usually remapped by the bump allocator above.
-		l3.kids[(p>>radixBits)&radixMask] = nil
-	}
 }
 
 func (t *radixTable) size() int { return t.n }
