@@ -49,9 +49,10 @@ const (
 	ExecModeSerial = "serial"
 )
 
-// DefaultBatchSize is the per-thread access buffer capacity. One
-// park/resume cycle (~750 ns) amortized over 128 accesses costs
-// ~6 ns/access.
+// DefaultBatchSize is the per-thread access buffer capacity. One park
+// (~80 ns when the parking thread resumes itself, a few hundred more when
+// another thread takes the baton) amortized over 128 accesses costs
+// 1–3 ns/access.
 const DefaultBatchSize = 128
 
 // epochMinEntries is the smallest total number of buffered accesses worth
@@ -72,7 +73,7 @@ type batchEntry struct {
 
 // bufferAccess appends one access to the thread's batch, draining first
 // if the buffer is full. Called on the thread's goroutine while it holds
-// the run token, like any other operation submission.
+// the baton, like any other operation submission.
 func (t *Thread) bufferAccess(ent batchEntry) {
 	if t.batch == nil {
 		t.batch = make([]batchEntry, 0, DefaultBatchSize)
@@ -134,7 +135,7 @@ func (e *Engine) executeBatchEntry(t *Thread) {
 	}
 	if err != nil {
 		t.clearBatch()
-		t.resume <- opResult{err: err}
+		e.wake(t, opResult{err: err})
 		return
 	}
 	if t.batchPos == len(t.batch) {
@@ -173,16 +174,16 @@ func (e *Engine) BatchStats() (drains, epochs, epochAccesses, vetoes uint64) {
 // --- parallel reconciliation epochs ---------------------------------------
 
 // tryEpoch attempts one reconciliation epoch. Preconditions checked here
-// (cheap, every scheduling round): every parked thread's final operation
-// is a pure sync point (drain or compute — anything that can mutate
-// detector, allocator, or page-table state between batched accesses
-// vetoes, because the scalar interleaving could order it between them),
-// at least two threads hold un-replayed batches, and the total is worth
-// the admission pass. epochHold suppresses re-admission of a vetoed
-// configuration until a new arrival changes it, keeping the scalar replay
-// of a vetoed batch O(n) instead of O(n²).
+// (cheap, every scheduling round): epochs are enabled (epochDet), every
+// parked thread's final operation is a pure sync point (drain or compute
+// — anything that can mutate detector, allocator, or page-table state
+// between batched accesses vetoes, because the scalar interleaving could
+// order it between them), at least two threads hold un-replayed batches,
+// and the total is worth the admission pass. epochHold suppresses
+// re-admission of a vetoed configuration until a new arrival changes it,
+// keeping the scalar replay of a vetoed batch O(n) instead of O(n²).
 func (e *Engine) tryEpoch() {
-	if e.epochHold || len(e.parked) < 2 {
+	if e.epochDet == nil || e.epochHold || len(e.parked) < 2 {
 		return
 	}
 	total, holders := 0, 0
@@ -269,9 +270,9 @@ func (e *Engine) admitAccess(t *Thread, obj *alloc.Object, off, size uint64, kin
 	return e.epochDet.EpochCheck(&t.epochScratch)
 }
 
-// runEpoch commits an admitted epoch. Phase A runs on the scheduler
-// goroutine in thread-creation order: per access, the exact dTLB hit
-// commits Translate would have made (all hits — admission proved
+// runEpoch commits an admitted epoch. Phase A runs on the goroutine
+// holding the baton, in thread-creation order: per access, the exact
+// dTLB hit commits Translate would have made (all hits — admission proved
 // residency, and all-hit CLOCK commits are order-independent: used bits
 // are idempotent, the hand does not move, the hits counter is a sum, and
 // the MRU hint never changes a hit/miss outcome), the base access charge,
@@ -299,7 +300,7 @@ func (e *Engine) runEpoch() {
 			}
 		}
 	}
-	// Epoch spans record on the scheduler goroutine with logical
+	// Epoch spans record on the goroutine holding the baton with logical
 	// timestamps ("just after the previous event"): per-thread virtual
 	// clocks inside an epoch are incomparable, and the span brackets both
 	// phases, including the concurrent Phase B.

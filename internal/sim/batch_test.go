@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -121,27 +122,118 @@ func TestEpochsFire(t *testing.T) {
 	}
 }
 
-// TestBatchDrainNoGoroutineLeak: epoch workers are per-epoch goroutines
-// that must all exit with the run; batch drains must not leave threads
-// parked. After enough runs to have committed many epochs the process
-// goroutine count must return to its baseline.
+// TestBatchDrainNoGoroutineLeak: every Run exit path must leave no
+// goroutine behind — epoch workers are per-epoch goroutines, batch drains
+// must not leave threads parked, and deadlock, panic, and watchdog
+// teardowns must release every parked, ready, and queued thread. After
+// each kind of run the process goroutine count must return to its
+// baseline.
 func TestBatchDrainNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
+	settled := func(label string) { t.Helper(); waitGoroutines(t, base, label) }
+
 	for i := 0; i < 5; i++ {
 		_, e := runMode(t, ExecModeParallel, int64(i+1), epochWorkload(4, 200))
 		if _, epochs, _, _ := e.BatchStats(); i == 0 && epochs == 0 {
 			t.Log("warning: no epochs fired in leak-check workload")
 		}
 	}
+	settled("epoch runs")
+
+	e := New(Config{}, nil)
+	a, b, both := e.NewMutex("a"), e.NewMutex("b"), e.NewBarrier(2)
+	_, err := e.Run(func(m *Thread) {
+		x := m.Go("x", func(x *Thread) { x.Lock(a, "xa"); x.Barrier(both); x.Lock(b, "xb") })
+		y := m.Go("y", func(y *Thread) { y.Lock(b, "yb"); y.Barrier(both); y.Lock(a, "ya") })
+		m.Join(x)
+		m.Join(y)
+	})
+	if err == nil || !strings.Contains(err.Error(), "lock cycle") {
+		t.Fatalf("lock cycle: got %v, want a deadlock report", err)
+	}
+	settled("deadlock")
+
+	_, err = New(Config{}, nil).Run(func(m *Thread) {
+		m.Compute(1)
+		panic("boom")
+	})
+	if err == nil || !strings.Contains(err.Error(), "workload panic") {
+		t.Fatalf("body panic: got %v, want a workload panic", err)
+	}
+	settled("panic")
+
+	// Watchdog fire with every thread parked or queued within the grace:
+	// main spins on operations, a worker waits on the mutex main holds.
+	e = New(Config{Watchdog: 10 * time.Millisecond}, nil)
+	mu := e.NewMutex("mu")
+	_, err = e.Run(func(m *Thread) {
+		m.Lock(mu, "s")
+		m.Go("w", func(w *Thread) { w.Lock(mu, "s") })
+		for {
+			m.Compute(1)
+		}
+	})
+	if !errors.Is(err, ErrWatchdog) || strings.Contains(err.Error(), "leaked") {
+		t.Fatalf("watchdog, all parked: got %v, want ErrWatchdog with nothing leaked", err)
+	}
+	settled("watchdog, all parked")
+
+	// Watchdog fire seen with four threads in the ready queue: the
+	// barrier release wakes all four inside a hook that outlasts the
+	// watchdog.
+	det := &abortWaitDetector{}
+	e = New(Config{Watchdog: 10 * time.Millisecond}, det)
+	bar := e.NewBarrier(4)
+	_, err = e.Run(func(m *Thread) {
+		var ws []*Thread
+		for i := 0; i < 4; i++ {
+			ws = append(ws, m.Go(fmt.Sprintf("w%d", i), func(w *Thread) {
+				w.Barrier(bar)
+				w.Compute(1)
+			}))
+		}
+		for _, w := range ws {
+			m.Join(w)
+		}
+	})
+	if !errors.Is(err, ErrWatchdog) {
+		t.Fatalf("watchdog, ready queue: got %v, want ErrWatchdog", err)
+	}
+	if n := strings.Count(err.Error(), "ready after barrier"); n != 4 {
+		t.Fatalf("watchdog, ready queue: %d threads ready after the barrier, want 4:\n%v", n, err)
+	}
+	settled("watchdog, ready queue")
+}
+
+// waitGoroutines fails the test unless the process goroutine count drops
+// back to base within a few seconds.
+func waitGoroutines(t *testing.T, base int, label string) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n > base {
 		buf := make([]byte, 1<<20)
-		t.Fatalf("goroutines leaked: %d -> %d\n%s", base, n, buf[:runtime.Stack(buf, true)])
+		t.Fatalf("%s: goroutines leaked: %d -> %d\n%s", label, base, n, buf[:runtime.Stack(buf, true)])
 	}
+}
+
+// abortWaitDetector's BarrierPassed returns only once the engine's
+// watchdog has fired, so the threads the barrier releases are still in
+// the ready queue when the baton holder sees the abort.
+type abortWaitDetector struct {
+	Baseline
+	e *Engine
+}
+
+func (d *abortWaitDetector) Setup(e *Engine) { d.e = e }
+
+func (d *abortWaitDetector) BarrierPassed([]*Thread) cycles.Duration {
+	for !d.e.abort.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	return 0
 }
 
 // retainingDetector violates the OnAccess contract by keeping the *Access

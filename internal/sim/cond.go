@@ -58,14 +58,14 @@ func (e *Engine) executeCond(t *Thread, o op) {
 	case opCondWait:
 		m := c.mu
 		if m.holder != t {
-			t.resume <- opResult{err: fmt.Errorf("sim: thread %d waiting on %s without holding %s", t.id, c, m)}
+			e.wake(t, opResult{err: fmt.Errorf("sim: thread %d waiting on %s without holding %s", t.id, c, m)})
 			return
 		}
 		// Release the mutex exactly as Unlock does, remembering the
 		// section site to re-enter on wakeup.
 		entry := t.popSection(m)
 		if entry == nil {
-			t.resume <- opResult{err: fmt.Errorf("sim: thread %d has no section for %s", t.id, m)}
+			e.wake(t, opResult{err: fmt.Errorf("sim: thread %d has no section for %s", t.id, m)})
 			return
 		}
 		t.condSite = entry.Section.Site
@@ -75,7 +75,6 @@ func (e *Engine) executeCond(t *Thread, o op) {
 		m.lastRelease = t.clock
 		m.holder = nil
 		c.waiting = append(c.waiting, t)
-		e.runnable--
 		e.wakeMutexWaiter(m)
 		// t stays blocked until Signal/Broadcast.
 
@@ -85,7 +84,7 @@ func (e *Engine) executeCond(t *Thread, o op) {
 			e.wakeWaiter(c, w, t)
 		}
 		t.charge(cycles.LockUncontended)
-		t.resume <- opResult{}
+		e.wake(t, opResult{})
 
 	case opCondBroadcast:
 		for len(c.waiting) > 0 {
@@ -93,7 +92,7 @@ func (e *Engine) executeCond(t *Thread, o op) {
 			e.wakeWaiter(c, w, t)
 		}
 		t.charge(cycles.LockUncontended)
-		t.resume <- opResult{}
+		e.wake(t, opResult{})
 	}
 }
 
@@ -104,8 +103,7 @@ func (e *Engine) wakeWaiter(c *Cond, w *Thread, signaler *Thread) {
 	m := c.mu
 	if m.holder == nil {
 		e.reacquireForWait(w, m)
-		e.runnable++
-		w.resume <- opResult{}
+		e.wake(w, opResult{})
 		return
 	}
 	// Mutex busy: park the waiter on the mutex queue; the unlock path
@@ -130,6 +128,5 @@ func (e *Engine) wakeMutexWaiter(m *Mutex) {
 	w.clock = cycles.Max(w.clock, m.lastRelease).Add(cycles.LockHandoff)
 	m.contended++
 	e.grantLock(w, m, w.pending.site)
-	e.runnable++
-	w.resume <- opResult{}
+	e.wake(w, opResult{})
 }

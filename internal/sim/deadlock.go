@@ -80,7 +80,8 @@ func (e *Engine) blockageReport() string {
 // queueBlocked returns every thread parked in a synchronization queue —
 // mutex and rwmutex waiters, condition and barrier waits, joiners. Such
 // threads are blocked at their resume channel without appearing in the
-// scheduler's parked list, so watchdog teardown can release them safely.
+// parked list or the ready queue, so watchdog teardown can release them
+// safely.
 func (e *Engine) queueBlocked() []*Thread {
 	var out []*Thread
 	for _, m := range e.mutexes {
@@ -104,17 +105,20 @@ func (e *Engine) queueBlocked() []*Thread {
 
 // stateDump renders every thread's state — virtual clock, operation
 // count, and whether it is exited, parked (and on what operation),
-// blocked in a synchronization queue, or still running — plus the
-// blockage report. Watchdog-timeout errors carry it so a hung cell is
-// diagnosable from its error alone.
+// blocked in a synchronization queue, ready to resume after an executed
+// operation, or still running — plus the blockage report.
+// Watchdog-timeout errors carry it so a hung cell is diagnosable from its
+// error alone.
 func (e *Engine) stateDump() string {
-	parked := map[*Thread]bool{}
+	waiting := map[*Thread]string{}
 	for _, t := range e.parked {
-		parked[t] = true
+		waiting[t] = "parked at"
 	}
-	queued := map[*Thread]bool{}
 	for _, t := range e.queueBlocked() {
-		queued[t] = true
+		waiting[t] = "blocked at"
+	}
+	for _, w := range e.ready {
+		waiting[w.t] = "ready after"
 	}
 	var lines []string
 	for _, t := range e.threads {
@@ -123,12 +127,9 @@ func (e *Engine) stateDump() string {
 		case t.done:
 			line = fmt.Sprintf("  thread %d (%s): clock %d, %d ops, exited",
 				t.id, t.name, uint64(t.clock), t.opCount)
-		case parked[t]:
-			line = fmt.Sprintf("  thread %d (%s): clock %d, %d ops, parked at %s",
-				t.id, t.name, uint64(t.clock), t.opCount, t.pending.kind)
-		case queued[t]:
-			line = fmt.Sprintf("  thread %d (%s): clock %d, %d ops, blocked at %s",
-				t.id, t.name, uint64(t.clock), t.opCount, t.pending.kind)
+		case waiting[t] != "":
+			line = fmt.Sprintf("  thread %d (%s): clock %d, %d ops, %s %s",
+				t.id, t.name, uint64(t.clock), t.opCount, waiting[t], t.pending.kind)
 		default:
 			// The thread's body goroutine may still be executing (a
 			// runner the watchdog could not park): reading its pending

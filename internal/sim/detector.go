@@ -12,7 +12,11 @@
 // operation, and the engine executes the operation of the thread with the
 // smallest virtual clock (ties broken by a seed-keyed hash). Changing the
 // seed changes interleavings, which is how schedule-sensitive behavior
-// (§3.1) is explored reproducibly.
+// (§3.1) is explored reproducibly. There is no scheduler goroutine: each
+// thread runs in its own goroutine, and a baton passed between them lets
+// one run at a time. The thread that parks runs the pick/execute loop
+// itself and keeps running when its own operation comes up first, so a
+// park costs a goroutine switch only when another thread resumes.
 package sim
 
 import (

@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kard/internal/alloc"
@@ -96,19 +97,18 @@ type Engine struct {
 	sections    map[string]*CriticalSection
 	sectionList []*CriticalSection
 
-	arrivals chan *Thread
-	parked   []*Thread
-	runnable int
-	threads  []*Thread
+	parked  []*Thread
+	threads []*Thread
 
-	// runToken is a capacity-1 semaphore serializing workload-body code:
-	// a thread goroutine holds it from resume to its next park, so even
-	// when the scheduler wakes several threads at once (barrier release,
-	// lock handoff, join) their Go code runs one at a time with
-	// happens-before edges between bursts. Simulated time is unaffected —
-	// the scheduler already waits for every runnable thread to park
-	// before executing the next operation.
-	runToken chan struct{}
+	// ready queues executed operations whose threads have not resumed, in
+	// wake order (DESIGN.md §12). The baton holder runs engine code under
+	// lock, as does Run's teardown; the holder sets finished (under lock)
+	// and closes haltC when it stops the run. abort is Run's watchdog
+	// signal.
+	ready []wakeup
+	lock  sync.Mutex
+	abort atomic.Bool
+	haltC chan struct{}
 
 	startup cycles.Time
 
@@ -144,8 +144,8 @@ type Engine struct {
 	// the per-access path allocation-free (a local would escape to the
 	// heap through the interface call); detectors must not retain the
 	// pointer past the OnAccess call, which the Detector interface
-	// documents. Those paths run only on the scheduler goroutine, so one
-	// record per engine is safe; parallel epochs use the per-thread
+	// documents. Those paths run only on the goroutine holding the baton,
+	// so one record per engine is safe; parallel epochs use the per-thread
 	// epochScratch records instead.
 	scratch Access
 
@@ -169,7 +169,7 @@ type Engine struct {
 	epochVetoes   uint64
 
 	// tr is the structured trace track (Config.Trace; nil = off). All
-	// events record on the scheduler goroutine at boundary rate.
+	// events record on the goroutine holding the baton at boundary rate.
 	tr *trace.Track
 
 	// syncRing is the fixed ring of recent synchronization edges (lock,
@@ -203,8 +203,7 @@ func New(cfg Config, det Detector) *Engine {
 		space:          as,
 		objects:        tbl,
 		detector:       det,
-		arrivals:       make(chan *Thread, 64),
-		runToken:       make(chan struct{}, 1),
+		haltC:          make(chan struct{}),
 		sections:       make(map[string]*CriticalSection),
 		activeSections: make(map[*CriticalSection]int),
 	}
@@ -376,46 +375,25 @@ func (e *Engine) Run(body func(*Thread)) (*Stats, error) {
 		defer timer.Stop()
 		watchC = timer.C
 	}
-	main := e.startThread("main", e.startup, body)
-	_ = main
+	e.startThread("main", e.startup, body).resume <- opResult{} // main takes the baton
 
-	timedOut := false
-loop:
-	for e.runnable > 0 || len(e.parked) > 0 {
-		for len(e.parked) < e.runnable {
-			if watchC == nil {
-				e.arrive(<-e.arrivals)
-				continue
-			}
-			select {
-			case th := <-e.arrivals:
-				e.arrive(th)
-			case <-watchC:
-				timedOut = true
-				break loop
-			}
+	select {
+	case <-e.haltC:
+	case <-watchC:
+		// The holder halts at its next scheduling step, if it gets one.
+		e.abort.Store(true)
+		grace := time.NewTimer(abortGrace)
+		select {
+		case <-e.haltC:
+		case <-grace.C:
 		}
-		if len(e.parked) == 0 {
-			break
-		}
-		if watchC != nil {
-			select {
-			case <-watchC:
-				timedOut = true
-				break loop
-			default:
-			}
-		}
-		if e.epochDet != nil {
-			e.tryEpoch()
-		}
-		th := e.pickNext()
-		if th.batchPos < len(th.batch) {
-			e.executeBatchEntry(th)
-			continue
-		}
-		e.execute(th)
+		grace.Stop()
 	}
+	// Taking the lock waits out a holder still inside engine code; once
+	// finished is set, a thread that parks later unwinds with errAborted.
+	e.lock.Lock()
+	defer e.lock.Unlock()
+	timedOut := !e.finished || len(e.ready)+len(e.parked) > 0
 	e.running = false
 	e.finished = true
 
@@ -532,28 +510,14 @@ func (e *Engine) takeRunErrs() error {
 }
 
 // abortTimeout tears the run down after the watchdog fired: every thread
-// known to be parked (at the scheduler or in a synchronization queue) is
-// released with errAborted; threads still executing body code after
-// abortGrace cannot be stopped safely and their goroutines are leaked —
-// by construction at most one runs at a time, and it parks (dormant,
-// still leaked) at its next operation. bound is the wall-clock bound
-// that fired; deadlineBound marks it as the job deadline rather than the
-// watchdog setting.
+// known to be waiting (parked, ready, or in a synchronization queue) is
+// released with errAborted; a thread still executing body code after
+// abortGrace cannot be stopped safely and is reported as leaked — by
+// construction at most one runs at a time, and it unwinds with
+// errAborted if it ever reaches another operation. bound is the
+// wall-clock bound that fired; deadlineBound marks it as the job
+// deadline rather than the watchdog setting.
 func (e *Engine) abortTimeout(bound time.Duration, deadlineBound bool) error {
-	// Collect threads still between the timeout and their next park. A
-	// body between two operations parks within microseconds, so only one
-	// stuck in code that never reaches an operation outlasts the grace.
-	grace := time.NewTimer(abortGrace)
-	defer grace.Stop()
-collect:
-	for len(e.parked) < e.runnable {
-		select {
-		case th := <-e.arrivals:
-			e.parked = append(e.parked, th)
-		case <-grace.C:
-			break collect
-		}
-	}
 	if deadlineBound {
 		obs.Flight.Recordf(obs.EvWatchdog, "job deadline fired after %v wall-clock", bound)
 		e.tr.InstantArg("watchdog", "sim", -1, "bound", "deadline", bound.Milliseconds())
@@ -573,15 +537,15 @@ collect:
 	for _, t := range e.queueBlocked() {
 		safe[t] = true
 	}
+	for _, w := range e.ready { // done, too, if it waits for its exit wake
+		safe[w.t] = true
+	}
 	var leaked []string
 	for _, t := range e.threads {
-		if t.done {
-			continue
-		}
 		if safe[t] {
 			t.done = true
 			t.resume <- opResult{err: errAborted}
-		} else {
+		} else if !t.done {
 			leaked = append(leaked, fmt.Sprintf("%s(#%d)", t.name, t.id))
 		}
 	}
@@ -599,45 +563,50 @@ collect:
 }
 
 // startThread creates a simulated thread at the given start time and
-// launches its goroutine.
+// launches its goroutine, which waits for the baton before running body.
 func (e *Engine) startThread(name string, start cycles.Time, body func(*Thread)) *Thread {
 	t := &Thread{
-		id:     len(e.threads),
-		name:   name,
-		eng:    e,
-		clock:  start,
-		held:   make(map[*Mutex]bool),
-		resume: make(chan opResult),
+		id:    len(e.threads),
+		name:  name,
+		eng:   e,
+		clock: start,
+		held:  make(map[*Mutex]bool),
+		// One slot: a sender never waits; a thread has one result due.
+		resume: make(chan opResult, 1),
 	}
 	e.threads = append(e.threads, t)
-	e.runnable++
 	e.detector.ThreadStarted(t)
 	go func() {
-		e.runToken <- struct{}{}        // hold the token while running body code
-		defer func() { <-e.runToken }() // release on goroutine exit (runs last)
+		if r := <-t.resume; r.err == errAborted {
+			return // torn down before it first ran
+		}
 		defer func() {
 			if r := recover(); r != nil {
+				if t.scheduling {
+					panic(r) // engine code failed holding the engine lock
+				}
 				if err, ok := r.(error); ok && err == errAborted {
-					return // engine tore the deadlocked thread down
+					return // engine tore the thread down: no baton
 				}
 				if oe, ok := r.(*opError); ok {
 					// A failed operation the body did not handle:
 					// record it as a structured run error (no stack —
-					// the error chain identifies the site) and exit
-					// the thread so the scheduler keeps running.
+					// the error chain identifies the site).
 					e.FailRun(fmt.Errorf("thread %s(#%d): %w", t.name, t.id, oe.err))
-					t.submit(op{kind: opExit})
-					return
+				} else {
+					// An unrecovered panic in the thread body: record
+					// it so Run can report the panic as an error.
+					e.recordPanic(t, r)
 				}
-				// An unrecovered panic in the thread body: record it
-				// and exit the thread normally so the scheduler keeps
-				// running and Run can report the panic as an error.
-				e.recordPanic(t, r)
-				t.submit(op{kind: opExit})
+			}
+			// Exit so the run goes on. A buffered access failing at the
+			// exit drain clears the batch, so parking again exits; park
+			// never panics, as errAborted would escape this recover.
+			for r := t.park(op{kind: opExit}); r.err != nil && r.err != errAborted; r = t.park(op{kind: opExit}) {
+				e.FailRun(fmt.Errorf("thread %s(#%d): %w", t.name, t.id, r.err))
 			}
 		}()
 		body(t)
-		t.submit(op{kind: opExit})
 	}()
 	return t
 }
@@ -664,9 +633,67 @@ type opError struct{ err error }
 func (e *opError) Error() string { return e.err.Error() }
 func (e *opError) Unwrap() error { return e.err }
 
-// arrive admits a thread that parked at the scheduler: telemetry for a
-// freshly drained batch, epoch re-admission (a new arrival is the only
-// event that can change a vetoed epoch configuration), then activation.
+// wakeup is one executed operation whose thread has not resumed yet.
+type wakeup struct {
+	t *Thread
+	r opResult
+}
+
+// wake queues t to resume with the result of its executed operation.
+func (e *Engine) wake(t *Thread, r opResult) {
+	e.ready = append(e.ready, wakeup{t, r})
+}
+
+// schedule is the pick/execute loop. It runs on the goroutine of t, which
+// has just parked and holds the baton and the engine lock, and returns
+// t's result, with the lock released, once t comes first in the ready
+// queue. An exited thread schedules on until it hands the baton off.
+// When the run stops — on abort, or with nothing ready or parked — a
+// live t waits for Run's teardown to release it with errAborted.
+func (e *Engine) schedule(t *Thread) opResult {
+	exited := false // t's exit wake was consumed: no result will come
+	for !e.abort.Load() && len(e.ready)+len(e.parked) > 0 {
+		if len(e.ready) == 0 {
+			e.tryEpoch()
+			if th := e.pickNext(); th.batchPos < len(th.batch) {
+				e.executeBatchEntry(th)
+			} else {
+				e.execute(th)
+			}
+			continue
+		}
+		w := e.ready[0]
+		e.ready = e.ready[:copy(e.ready, e.ready[1:])]
+		if w.t != t {
+			e.lock.Unlock()
+			w.t.resume <- w.r // pass the baton
+			if exited {
+				return opResult{}
+			}
+			if w.r = <-t.resume; w.r.err == errAborted {
+				return w.r
+			}
+			e.lock.Lock()
+		}
+		if !t.done {
+			e.lock.Unlock()
+			return w.r
+		}
+		exited = true
+	}
+	e.finished = true
+	done := t.done // Run's teardown writes it once haltC closes
+	close(e.haltC)
+	e.lock.Unlock()
+	if done {
+		return opResult{}
+	}
+	return <-t.resume
+}
+
+// arrive admits a thread that parked: telemetry for a freshly drained
+// batch, epoch re-admission (a new arrival is the only event that can
+// change a vetoed epoch configuration), then activation.
 func (e *Engine) arrive(t *Thread) {
 	e.epochHold = false
 	if len(t.batch) > 0 && t.batchPos == 0 {
@@ -724,13 +751,13 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// execute runs one parked operation on the scheduler.
+// execute runs one parked operation and queues the threads it wakes.
 func (e *Engine) execute(t *Thread) {
 	o := t.pending
 	switch o.kind {
 	case opCompute:
 		t.charge(o.cost)
-		t.resume <- opResult{}
+		e.wake(t, opResult{})
 
 	case opMalloc:
 		obj, d, err := e.alloc.Malloc(o.size, o.site)
@@ -744,24 +771,24 @@ func (e *Engine) execute(t *Thread) {
 			obj, d, err = e.alloc.Malloc(o.size, o.site)
 		}
 		if err != nil {
-			t.resume <- opResult{err: err}
+			e.wake(t, opResult{err: err})
 			return
 		}
 		t.charge(d)
 		t.charge(e.detector.ObjectAllocated(t, obj))
 		e.tr.InstantArg2("malloc", "sim", int64(t.clock), "object", obj.Site, int64(obj.ID), "thread", int64(t.id))
-		t.resume <- opResult{obj: obj}
+		e.wake(t, opResult{obj: obj})
 
 	case opFree:
 		t.charge(e.detector.ObjectFreed(t, o.obj))
 		d, err := e.alloc.Free(o.obj)
 		if err != nil {
-			t.resume <- opResult{err: err}
+			e.wake(t, opResult{err: err})
 			return
 		}
 		t.charge(d)
 		e.tr.InstantArg2("free", "sim", int64(t.clock), "object", o.obj.Site, int64(o.obj.ID), "thread", int64(t.id))
-		t.resume <- opResult{}
+		e.wake(t, opResult{})
 
 	case opAccess:
 		e.executeAccess(t, o)
@@ -773,7 +800,7 @@ func (e *Engine) execute(t *Thread) {
 		// The batch was fully replayed before this final op became
 		// pick-eligible (the pick loop executes queued entries first);
 		// the park itself costs nothing.
-		t.resume <- opResult{}
+		e.wake(t, opResult{})
 
 	case opRLock, opRUnlock, opWLock, opWUnlock:
 		e.executeRW(t, o)
@@ -785,37 +812,36 @@ func (e *Engine) execute(t *Thread) {
 		m := o.mutex
 		if m.holder != nil {
 			t.charge(cycles.LockUncontended)
-			t.resume <- opResult{ok: false}
+			e.wake(t, opResult{ok: false})
 			return
 		}
 		t.clock = cycles.Max(t.clock, m.lastRelease).Add(cycles.LockUncontended)
 		e.grantLock(t, m, o.site)
-		t.resume <- opResult{ok: true}
+		e.wake(t, opResult{ok: true})
 
 	case opLock:
 		m := o.mutex
 		if m.holder == t {
-			t.resume <- opResult{err: fmt.Errorf("sim: thread %d re-locking held %s", t.id, m)}
+			e.wake(t, opResult{err: fmt.Errorf("sim: thread %d re-locking held %s", t.id, m)})
 			return
 		}
 		if m.holder != nil {
 			m.waiters = append(m.waiters, t)
-			e.runnable-- // stays parked in the mutex queue
 			return
 		}
 		t.clock = cycles.Max(t.clock, m.lastRelease).Add(cycles.LockUncontended)
 		e.grantLock(t, m, o.site)
-		t.resume <- opResult{}
+		e.wake(t, opResult{})
 
 	case opUnlock:
 		m := o.mutex
 		if m.holder != t {
-			t.resume <- opResult{err: fmt.Errorf("sim: thread %d unlocking %s it does not hold", t.id, m)}
+			e.wake(t, opResult{err: fmt.Errorf("sim: thread %d unlocking %s it does not hold", t.id, m)})
 			return
 		}
 		entry := t.popSection(m)
 		if entry == nil {
-			t.resume <- opResult{err: fmt.Errorf("sim: thread %d has no section for %s", t.id, m)}
+			e.wake(t, opResult{err: fmt.Errorf("sim: thread %d has no section for %s", t.id, m)})
 			return
 		}
 		t.charge(e.detector.CSExit(t, entry.Section, m))
@@ -830,16 +856,14 @@ func (e *Engine) execute(t *Thread) {
 			w.clock = cycles.Max(w.clock, m.lastRelease).Add(cycles.LockHandoff)
 			m.contended++
 			e.grantLock(w, m, w.pending.site)
-			e.runnable++
-			w.resume <- opResult{}
+			e.wake(w, opResult{})
 		}
-		t.resume <- opResult{}
+		e.wake(t, opResult{})
 
 	case opBarrier:
 		b := o.barrier
 		b.waiting = append(b.waiting, t)
 		if len(b.waiting) < b.n {
-			e.runnable--
 			return
 		}
 		var tmax cycles.Time
@@ -855,18 +879,18 @@ func (e *Engine) execute(t *Thread) {
 		for _, w := range group {
 			w.clock = tmax.Add(d)
 			if w != t {
-				e.runnable++
-				w.resume <- opResult{}
+				e.wake(w, opResult{})
 			}
 		}
-		t.resume <- opResult{}
+		e.wake(t, opResult{})
 
 	case opSpawn:
 		t.charge(cycles.ThreadSpawn)
 		child := e.startThread(o.site, t.clock, o.body)
 		e.detector.ThreadSpawned(t, child)
 		e.noteSync("spawn", "child", t.id, child.id, o.site, t.clock)
-		t.resume <- opResult{thread: child}
+		e.wake(t, opResult{thread: child})
+		e.wake(child, opResult{})
 
 	case opJoin:
 		target := o.thread
@@ -874,30 +898,27 @@ func (e *Engine) execute(t *Thread) {
 			t.clock = cycles.Max(t.clock, target.final)
 			e.detector.ThreadJoined(t, target)
 			e.noteSync("join", "joined", t.id, target.id, "", t.clock)
-			t.resume <- opResult{}
+			e.wake(t, opResult{})
 			return
 		}
 		target.joiners = append(target.joiners, t)
-		e.runnable--
 
 	case opExit:
 		e.detector.ThreadExited(t)
 		t.done = true
 		t.final = t.clock
 		e.noteSync("exit", "", t.id, -1, "", t.final)
-		e.runnable--
 		for _, j := range t.joiners {
 			j.clock = cycles.Max(j.clock, t.final)
 			e.detector.ThreadJoined(j, t)
 			e.noteSync("join", "joined", j.id, t.id, "", j.clock)
-			e.runnable++
-			j.resume <- opResult{}
+			e.wake(j, opResult{})
 		}
 		t.joiners = nil
-		t.resume <- opResult{}
+		e.wake(t, opResult{})
 
 	default:
-		t.resume <- opResult{err: fmt.Errorf("sim: unknown op kind %d", o.kind)}
+		e.wake(t, opResult{err: fmt.Errorf("sim: unknown op kind %d", o.kind)})
 	}
 }
 
@@ -967,18 +988,18 @@ func (t *Thread) popSection(m *Mutex) *SectionEntry {
 // resumes the thread; accessCore does the work, shared with batch replay.
 func (e *Engine) executeAccess(t *Thread, o op) {
 	if err := e.accessCore(t, o.obj, o.off, o.size, o.access, o.site); err != nil {
-		t.resume <- opResult{err: err}
+		e.wake(t, opResult{err: err})
 		return
 	}
-	t.resume <- opResult{}
+	e.wake(t, opResult{})
 }
 
 // accessCore performs one data access: translation through the dTLB per
 // touched page, the base access cost, and the detector hook. It runs on
-// the scheduler goroutine for both the scalar path and the batch replay,
-// so the engine's scratch record is safe to reuse — a local Access would
-// escape to the heap through the OnAccess interface call, costing one
-// allocation per simulated access.
+// the goroutine holding the baton for both the scalar path and the batch
+// replay, so the engine's scratch record is safe to reuse — a local
+// Access would escape to the heap through the OnAccess interface call,
+// costing one allocation per simulated access.
 func (e *Engine) accessCore(t *Thread, obj *alloc.Object, off, size uint64, kind mpk.AccessKind, site string) error {
 	if obj.Freed() {
 		return fmt.Errorf("sim: thread %d use-after-free of %s at %s", t.id, obj, site)
@@ -1021,10 +1042,10 @@ func (e *Engine) accessCore(t *Thread, obj *alloc.Object, off, size uint64, kind
 // engine operation and resumes the thread; sweepCore does the work.
 func (e *Engine) executeSweep(t *Thread, o op) {
 	if err := e.sweepCore(t, o.objs, o.size, o.access, o.site); err != nil {
-		t.resume <- opResult{err: err}
+		e.wake(t, opResult{err: err})
 		return
 	}
-	t.resume <- opResult{}
+	e.wake(t, opResult{})
 }
 
 // sweepCore accesses every object of a pool, translating each object's

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -68,6 +69,35 @@ func TestWatchdogReleasesThreadBetweenOperations(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("thread goroutine was never released")
 	}
+}
+
+// TestWatchdogReleasesPanickedThreadParkedOnExit fires the watchdog
+// while a thread whose body panicked is parked on its exit operation and
+// main holds the baton in host code past the grace. The teardown releases
+// the panicked thread with errAborted, which its exit park inside the
+// goroutine's panic recovery must swallow: panicking again there would
+// escape the recovery and kill the process. Main, reported as leaked,
+// unwinds at its exit park once its sleep ends.
+func TestWatchdogReleasesPanickedThreadParkedOnExit(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := New(Config{Watchdog: 20 * time.Millisecond}, nil)
+	_, err := e.Run(func(m *Thread) {
+		m.Go("panicker", func(p *Thread) {
+			p.Compute(1_000_000)
+			panic("boom")
+		})
+		for i := 0; i < 4; i++ {
+			m.Compute(10)
+		}
+		time.Sleep(3 * abortGrace)
+	})
+	if !errors.Is(err, ErrWatchdog) {
+		t.Fatalf("got %v, want ErrWatchdog", err)
+	}
+	if !strings.Contains(err.Error(), "main(#0)] were leaked") {
+		t.Fatalf("main was not reported as running past the grace: %v", err)
+	}
+	waitGoroutines(t, base, "thread goroutines did not unwind")
 }
 
 func TestWatchdogOffByDefault(t *testing.T) {

@@ -14,10 +14,10 @@ package sim
 // allocates, but only when a race is actually reported — race recording
 // is already the allocating slow path.
 //
-// Every detector records races on the scheduler goroutine: the scalar and
-// batch-replay paths run there, and the EpochDetector contract forbids
-// admitting an access that could report a race into a parallel epoch. So
-// BuildProvenance may read engine state without locking.
+// Every detector records races on the goroutine holding the baton: the
+// scalar and batch-replay paths run there, and the EpochDetector contract
+// forbids admitting an access that could report a race into a parallel
+// epoch. So BuildProvenance may read engine state without locking.
 
 import (
 	"sort"
@@ -98,8 +98,8 @@ type RaceProvenance struct {
 // edge into the engine's fixed ring and emits the matching trace instant,
 // whose argKey argument carries label and (when non-negative) other, and
 // whose "thread" argument the acting thread. A value store into a fixed
-// array plus a nil-safe trace call: allocation-free, scheduler-goroutine
-// only.
+// array plus a nil-safe trace call: allocation-free, and only on the
+// goroutine holding the baton.
 func (e *Engine) noteSync(kind, argKey string, thread, other int, label string, at cycles.Time) {
 	e.syncRing[e.syncCount%syncRingSize] = SyncEdge{
 		Kind: kind, Thread: thread, Other: other, Label: label, Time: at,
@@ -112,8 +112,8 @@ func (e *Engine) noteSync(kind, argKey string, thread, other int, label string, 
 // report: the access pair from the report itself, the detecting thread's
 // held locks, the engine's epoch/drain position, and the recent sync
 // edges. Detector-specific context (Kard's domain history) is filled in
-// by the caller afterwards. Must run on the scheduler goroutine, where
-// all race recording happens.
+// by the caller afterwards. Must run on the goroutine holding the baton,
+// where all race recording happens.
 func (e *Engine) BuildProvenance(r *Race) *RaceProvenance {
 	p := &RaceProvenance{
 		First: AccessDesc{

@@ -74,51 +74,49 @@ func (e *Engine) executeRW(t *Thread, o op) {
 	switch o.kind {
 	case opRLock:
 		if rw.readers[t] || rw.writer == t {
-			t.resume <- opResult{err: fmt.Errorf("sim: thread %d re-acquiring %s", t.id, rw)}
+			e.wake(t, opResult{err: fmt.Errorf("sim: thread %d re-acquiring %s", t.id, rw)})
 			return
 		}
 		if rw.writer != nil || len(rw.waitingW) > 0 {
 			rw.waitingR = append(rw.waitingR, t)
-			e.runnable--
 			return
 		}
 		e.grantRead(t, rw, o.site)
-		t.resume <- opResult{}
+		e.wake(t, opResult{})
 
 	case opRUnlock:
 		if !rw.readers[t] {
-			t.resume <- opResult{err: fmt.Errorf("sim: thread %d read-unlocking %s it does not hold", t.id, rw)}
+			e.wake(t, opResult{err: fmt.Errorf("sim: thread %d read-unlocking %s it does not hold", t.id, rw)})
 			return
 		}
 		e.exitRWSection(t, rw)
 		delete(rw.readers, t)
 		rw.lastRelease = t.clock
 		e.wakeRW(rw)
-		t.resume <- opResult{}
+		e.wake(t, opResult{})
 
 	case opWLock:
 		if rw.readers[t] || rw.writer == t {
-			t.resume <- opResult{err: fmt.Errorf("sim: thread %d re-acquiring %s", t.id, rw)}
+			e.wake(t, opResult{err: fmt.Errorf("sim: thread %d re-acquiring %s", t.id, rw)})
 			return
 		}
 		if rw.writer != nil || len(rw.readers) > 0 {
 			rw.waitingW = append(rw.waitingW, t)
-			e.runnable--
 			return
 		}
 		e.grantWrite(t, rw, o.site)
-		t.resume <- opResult{}
+		e.wake(t, opResult{})
 
 	case opWUnlock:
 		if rw.writer != t {
-			t.resume <- opResult{err: fmt.Errorf("sim: thread %d write-unlocking %s it does not hold", t.id, rw)}
+			e.wake(t, opResult{err: fmt.Errorf("sim: thread %d write-unlocking %s it does not hold", t.id, rw)})
 			return
 		}
 		e.exitRWSection(t, rw)
 		rw.writer = nil
 		rw.lastRelease = t.clock
 		e.wakeRW(rw)
-		t.resume <- opResult{}
+		e.wake(t, opResult{})
 	}
 }
 
@@ -169,16 +167,14 @@ func (e *Engine) wakeRW(rw *RWMutex) {
 		w := e.pickRWWaiter(&rw.waitingW)
 		w.clock = cycles.Max(w.clock, rw.lastRelease).Add(cycles.LockHandoff)
 		e.grantWrite(w, rw, w.pending.site)
-		e.runnable++
-		w.resume <- opResult{}
+		e.wake(w, opResult{})
 		return
 	}
 	for len(rw.waitingR) > 0 {
 		r := e.pickRWWaiter(&rw.waitingR)
 		r.clock = cycles.Max(r.clock, rw.lastRelease).Add(cycles.LockHandoff)
 		e.grantRead(r, rw, r.pending.site)
-		e.runnable++
-		r.resume <- opResult{}
+		e.wake(r, opResult{})
 	}
 }
 

@@ -68,9 +68,9 @@ func BenchmarkContendedScheduling(b *testing.B) {
 // dispatch, dTLB translate (warm, so the MRU fast path fires), cycle
 // accounting, and the detector hook — at steady state, where it must not
 // allocate: the engine-side work is zero-alloc (scratch Access record,
-// radix table, map-free TLB), and the only remaining allocations are the
-// scheduler's park/resume channel operations, which Go accounts to the
-// runtime, not the benchmark loop.
+// radix table, map-free TLB), and a buffer-full drain parks the only
+// thread, which runs the scheduler itself and resumes without a channel
+// operation.
 func BenchmarkAccessSteadyState(b *testing.B) {
 	e := New(Config{}, nil)
 	if _, err := e.Run(func(m *Thread) {

@@ -10,11 +10,11 @@ import (
 )
 
 // Thread is one simulated program thread. The workload body runs in its
-// own goroutine, but every operation parks at the scheduler, and between
-// operations the body holds the engine's run token, so at most one
-// thread executes Go code at a time: runs are deterministic and body
-// code may touch shared test/workload state without host-level data
-// races.
+// own goroutine, but every operation parks at the scheduler, and only the
+// goroutine holding the engine's baton runs — body code or the scheduling
+// loop — so at most one thread executes Go code at a time: runs are
+// deterministic and body code may touch shared test/workload state
+// without host-level data races.
 //
 // Thread methods panic on programming errors (double free, unlocking a
 // mutex the thread does not hold); a simulated program that misuses the
@@ -40,14 +40,15 @@ type Thread struct {
 	// detector may hang its thread-local data on.
 	DetectorState any
 
-	held     map[*Mutex]bool
-	condSite string // section site to re-enter after a condition wait
-	resume   chan opResult
-	pending  op
-	opCount  uint64
-	done     bool
-	final    cycles.Time
-	joiners  []*Thread
+	held       map[*Mutex]bool
+	condSite   string // section site to re-enter after a condition wait
+	resume     chan opResult
+	pending    op
+	opCount    uint64
+	done       bool
+	final      cycles.Time
+	scheduling bool // in park's engine code: a panic there holds the lock
+	joiners    []*Thread
 
 	// access statistics
 	accessUnits uint64
@@ -242,21 +243,17 @@ func (t *Thread) LoadBytes(o *alloc.Object, off uint64, b []byte) {
 	}
 }
 
-// submit parks the thread at the scheduler with its next operation and
-// blocks until the engine has executed it — and, under batched execution,
-// until any buffered accesses queued before it have replayed. The
-// operation count is charged engine-side at activation (Engine.activate),
-// not here, so batched entries count at the moment they become
-// pick-eligible, exactly as their scalar submissions would.
+// submit parks the thread with its next operation and returns once the
+// engine has executed it — and, under batched execution, once any
+// buffered accesses queued before it have replayed. The operation count
+// is charged engine-side at activation (Engine.activate), not here, so
+// batched entries count at the moment they become pick-eligible, exactly
+// as their scalar submissions would.
 func (t *Thread) submit(o op) opResult {
 	if t.done {
 		panic(fmt.Sprintf("sim: operation on finished thread %d", t.id))
 	}
-	t.pending = o
-	<-t.eng.runToken // release the body-execution token while parked
-	t.eng.arrivals <- t
-	r := <-t.resume
-	t.eng.runToken <- struct{}{} // reacquire before running body code
+	r := t.park(o)
 	if r.err != nil {
 		if r.err == errAborted {
 			panic(errAborted) // engine teardown: unwind without recording
@@ -267,5 +264,24 @@ func (t *Thread) submit(o op) opResult {
 		// failed operations themselves.
 		panic(&opError{err: r.err})
 	}
+	return r
+}
+
+// park queues o and runs the scheduler on this goroutine until the
+// thread's result comes up (Engine.schedule); errors come back as values.
+// errAborted means the run was torn down — for a thread the watchdog left
+// running, possibly before it parked — and the thread holds no baton.
+func (t *Thread) park(o op) opResult {
+	e := t.eng
+	e.lock.Lock()
+	if e.finished {
+		e.lock.Unlock()
+		return opResult{err: errAborted}
+	}
+	t.scheduling = true
+	t.pending = o
+	e.arrive(t)
+	r := e.schedule(t)
+	t.scheduling = false
 	return r
 }
