@@ -65,10 +65,12 @@ chaos:
 	$(GO) run ./cmd/kardbench -chaos -seed $(SEED) -jobs $(JOBS)
 
 # Fuzz the allocator's graceful degradation under arbitrary fault plans,
-# then its unique-page placement invariants.
+# then its unique-page placement invariants, then the dTLB against the
+# page-keyed reference CLOCK.
 fuzz:
 	$(GO) test -fuzz=FuzzAllocatorFaults -fuzztime=20s -run '^$$' ./internal/alloc/
 	$(GO) test -fuzz=FuzzUniquePageSequence -fuzztime=10s -run '^$$' ./internal/alloc/
+	$(GO) test -fuzz=FuzzTLBDifferential -fuzztime=10s -run '^$$' ./internal/mem/
 
 # In-process kardd service smoke: run the real-world workloads as
 # detection jobs through a crash-and-recover cycle; verdicts must be

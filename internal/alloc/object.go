@@ -44,6 +44,14 @@ type Object struct {
 	NumPages  uint64
 
 	freed bool
+
+	// DetectorState is per-object scratch for the run's detector, as
+	// sim.Thread, sim.Mutex and sim.CriticalSection carry per-thread and
+	// per-lock state: the happens-before detector's shadow ring, the
+	// lockset detector's Eraser record. Every access already holds its
+	// object, so the state needs no ID-keyed table. It stays out of the
+	// JSON race records that embed the object.
+	DetectorState any `json:"-"`
 }
 
 // Contains reports whether addr falls inside the object's payload.

@@ -10,7 +10,10 @@
 // an epoch (thread, scalar clock) plus the accessed byte range and whether
 // the accessor held any lock (for the ILU / non-ILU split of Table 6).
 // Races older than the ring depth can be missed, like TSan's 4-slot shadow
-// cells can; the depth is configurable.
+// cells can; the depth is configurable. The ring (or, in Exact mode, the
+// object's granule map) hangs off the object itself, in
+// alloc.Object.DetectorState, as thread clocks hang off sim.Thread: the
+// first access creates it and the free drops it.
 package hb
 
 import (
@@ -84,8 +87,6 @@ type Options struct {
 type Detector struct {
 	opts  Options
 	eng   *sim.Engine
-	state map[alloc.ObjectID]*shadow
-	exact map[alloc.ObjectID]map[uint64]*granule
 	races []sim.Race
 	seen  map[dedupeKey]struct{}
 }
@@ -104,7 +105,8 @@ type dedupeKey struct {
 	tid, oid int
 }
 
-// shadow is the per-object access history ring.
+// shadow is the per-object access history ring, kept in the object's
+// DetectorState.
 type shadow struct {
 	recent []accessInfo
 	next   int
@@ -136,10 +138,8 @@ func New(opts Options) *Detector {
 		opts.ShadowDepth = 8
 	}
 	return &Detector{
-		opts:  opts,
-		state: make(map[alloc.ObjectID]*shadow),
-		exact: make(map[alloc.ObjectID]map[uint64]*granule),
-		seen:  make(map[dedupeKey]struct{}),
+		opts: opts,
+		seen: make(map[dedupeKey]struct{}),
 	}
 }
 
@@ -184,10 +184,10 @@ func (d *Detector) ObjectAllocated(t *sim.Thread, o *alloc.Object) cycles.Durati
 	return cycles.AtomicOp
 }
 
-// ObjectFreed implements sim.Detector.
+// ObjectFreed implements sim.Detector: the object's shadow state goes
+// with it.
 func (d *Detector) ObjectFreed(t *sim.Thread, o *alloc.Object) cycles.Duration {
-	delete(d.state, o.ID)
-	delete(d.exact, o.ID)
+	o.DetectorState = nil
 	d.eng.Space().ChargeMetadata(-(shadowMetadataBytes + int64(o.Size)/2))
 	return cycles.AtomicOp
 }
@@ -235,10 +235,10 @@ func (d *Detector) OnAccess(a *sim.Access) cycles.Duration {
 	}
 	t := a.Thread
 	tc := clockOf(t)
-	sh, ok := d.state[a.Object.ID]
+	sh, ok := a.Object.DetectorState.(*shadow)
 	if !ok {
 		sh = &shadow{recent: make([]accessInfo, d.opts.ShadowDepth)}
-		d.state[a.Object.ID] = sh
+		a.Object.DetectorState = sh
 	}
 	off := a.Offset()
 	cur := accessInfo{
@@ -309,10 +309,10 @@ func (d *Detector) report(a *sim.Access, prev *accessInfo, cur accessInfo) {
 func (d *Detector) onAccessExact(a *sim.Access) cycles.Duration {
 	t := a.Thread
 	tc := clockOf(t)
-	gm, ok := d.exact[a.Object.ID]
+	gm, ok := a.Object.DetectorState.(map[uint64]*granule)
 	if !ok {
 		gm = make(map[uint64]*granule)
-		d.exact[a.Object.ID] = gm
+		a.Object.DetectorState = gm
 	}
 	off := a.Offset()
 	cur := accessInfo{
@@ -360,10 +360,12 @@ func (d *Detector) Races() []sim.Race { return d.races }
 // parallel epoch only if replaying it cannot report a race and touches
 // nothing outside its object's shadow ring. Three veto classes:
 //
-//   - Exact mode: the per-granule shadow map inserts granules lazily, a
-//     shared-map mutation.
-//   - Unknown object: the first access inserts into d.state; one vetoed
-//     epoch replays it on the scalar path and makes the object known.
+//   - Exact mode: the per-granule shadow map inserts granules lazily.
+//   - Object with no ring yet: the first access allocates the ring, which
+//     is object-local and so would be safe to create inside an epoch;
+//     the veto stays because lifting it would change which epochs are
+//     admitted, and with them the engine's epoch counters. One vetoed
+//     epoch replays the access on the scalar path and creates the ring.
 //   - Any surviving ring conflict: the same scan OnAccess performs. A
 //     conflict here would call report; epochs never report.
 //
@@ -376,7 +378,7 @@ func (d *Detector) EpochCheck(a *sim.Access) bool {
 	if d.opts.Exact {
 		return false
 	}
-	sh, ok := d.state[a.Object.ID]
+	sh, ok := a.Object.DetectorState.(*shadow)
 	if !ok {
 		return false
 	}

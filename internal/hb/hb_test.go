@@ -1,8 +1,10 @@
 package hb
 
 import (
+	"encoding/json"
 	"testing"
 
+	"kard/internal/alloc"
 	"kard/internal/sim"
 )
 
@@ -232,13 +234,52 @@ func TestRaceDeduplication(t *testing.T) {
 }
 
 func TestFreedObjectDropsShadow(t *testing.T) {
-	_, det := run(t, func(e *sim.Engine, m *sim.Thread) {
-		o := m.Malloc(64, "o")
+	var o *alloc.Object
+	var before any
+	run(t, func(e *sim.Engine, m *sim.Thread) {
+		o = m.Malloc(64, "o")
 		m.Write(o, 0, 8, "w")
+		m.Flush()
+		before = o.DetectorState
 		m.Free(o)
 	})
-	if len(det.state) != 0 {
-		t.Errorf("shadow entries = %d after free, want 0", len(det.state))
+	if _, ok := before.(*shadow); !ok {
+		t.Errorf("object state before free = %T, want *shadow", before)
+	}
+	if o.DetectorState != nil {
+		t.Errorf("object state = %T after free, want nil", o.DetectorState)
+	}
+}
+
+// TestRaceJSONOmitsDetectorState: a race record embeds its object, and the
+// object carries the detector's shadow ring; the ring must not reach the
+// JSON verdicts, which are byte-compared across runs and restarts.
+func TestRaceJSONOmitsDetectorState(t *testing.T) {
+	st, _ := run(t, func(e *sim.Engine, m *sim.Thread) {
+		o := m.Malloc(64, "o")
+		w1 := m.Go("w1", func(w *sim.Thread) { w.Write(o, 0, 8, "w1") })
+		w2 := m.Go("w2", func(w *sim.Thread) { w.Write(o, 0, 8, "w2") })
+		m.Join(w1)
+		m.Join(w2)
+	})
+	if len(st.Races) == 0 {
+		t.Fatal("expected a race")
+	}
+	r := st.Races[0]
+	if r.Object.DetectorState == nil {
+		t.Fatal("racy object carries no detector state")
+	}
+	withState, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Object.DetectorState = nil
+	without, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(withState) != string(without) {
+		t.Errorf("race JSON depends on detector state:\n%s\nvs\n%s", withState, without)
 	}
 }
 
@@ -314,14 +355,21 @@ func TestExactModeMatchesRingOnSimpleRace(t *testing.T) {
 func TestExactModeDropsFreedObjects(t *testing.T) {
 	det := New(Options{Exact: true})
 	e := sim.New(sim.Config{Seed: 1}, det)
+	var o *alloc.Object
+	var granules int
 	if _, err := e.Run(func(m *sim.Thread) {
-		o := m.Malloc(64, "o")
+		o = m.Malloc(64, "o")
 		m.Write(o, 0, 64, "w")
+		m.Flush()
+		granules = len(o.DetectorState.(map[uint64]*granule))
 		m.Free(o)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(det.exact) != 0 {
-		t.Errorf("exact shadow entries = %d after free", len(det.exact))
+	if granules != 8 {
+		t.Errorf("exact shadow granules = %d before free, want 8", granules)
+	}
+	if o.DetectorState != nil {
+		t.Errorf("exact shadow state = %T after free, want nil", o.DetectorState)
 	}
 }

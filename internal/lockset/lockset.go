@@ -17,7 +17,6 @@ package lockset
 
 import (
 	"sort"
-	"strings"
 
 	"kard/internal/alloc"
 	"kard/internal/cycles"
@@ -35,7 +34,8 @@ const (
 	sharedModified
 )
 
-// objInfo is the per-object lockset record.
+// objInfo is the per-object lockset record, kept in the object's
+// DetectorState.
 type objInfo struct {
 	st       state
 	owner    int   // owning thread while exclusive
@@ -49,14 +49,11 @@ type objInfo struct {
 // Detector is the Eraser-style detector.
 type Detector struct {
 	eng   *sim.Engine
-	objs  map[alloc.ObjectID]*objInfo
 	races []sim.Race
 }
 
 // New creates a lockset detector.
-func New() *Detector {
-	return &Detector{objs: make(map[alloc.ObjectID]*objInfo)}
-}
+func New() *Detector { return &Detector{} }
 
 // Name implements sim.Detector.
 func (d *Detector) Name() string { return "lockset" }
@@ -72,13 +69,13 @@ func (d *Detector) BarrierPassed(ts []*sim.Thread) cycles.Duration { return 0 }
 
 // ObjectAllocated implements sim.Detector.
 func (d *Detector) ObjectAllocated(t *sim.Thread, o *alloc.Object) cycles.Duration {
-	d.objs[o.ID] = &objInfo{st: virgin}
+	o.DetectorState = &objInfo{st: virgin}
 	return cycles.AtomicOp
 }
 
 // ObjectFreed implements sim.Detector.
 func (d *Detector) ObjectFreed(t *sim.Thread, o *alloc.Object) cycles.Duration {
-	delete(d.objs, o.ID)
+	o.DetectorState = nil
 	return cycles.AtomicOp
 }
 
@@ -124,10 +121,10 @@ func intersect(a, b []int) []int {
 // OnAccess implements sim.Detector: the Eraser state machine.
 func (d *Detector) OnAccess(a *sim.Access) cycles.Duration {
 	t := a.Thread
-	info, ok := d.objs[a.Object.ID]
+	info, ok := a.Object.DetectorState.(*objInfo)
 	if !ok {
 		info = &objInfo{st: virgin}
-		d.objs[a.Object.ID] = info
+		a.Object.DetectorState = info
 	}
 	cost := cycles.Duration(a.Units()) * cycles.LocksetAccess
 
@@ -195,18 +192,6 @@ func (d *Detector) Finish() {}
 // Races implements sim.Detector.
 func (d *Detector) Races() []sim.Race { return d.races }
 
-// Describe formats the candidate lockset of an object for diagnostics.
-func (d *Detector) Describe(o *alloc.Object) string {
-	info, ok := d.objs[o.ID]
-	if !ok {
-		return "untracked"
-	}
-	names := []string{"virgin", "exclusive", "shared", "shared-modified"}
-	var b strings.Builder
-	b.WriteString(names[info.st])
-	return b.String()
-}
-
 func sectionLabel(t *sim.Thread) string {
 	if cs := t.CurrentSection(); cs != nil {
 		return cs.Site
@@ -218,12 +203,14 @@ func sectionLabel(t *sim.Thread) string {
 // that Eraser resolves without refining C(v) are epoch-safe — Virgin
 // (becomes Exclusive, owned by the accessor) and Exclusive under the same
 // owner. Both mutate only the object's own record and can never report.
-// Unknown objects veto because the first access inserts into the shared
-// object map; Shared/Shared-Modified veto because refine may empty C(v)
-// and report. Same-thread epoch commits preserve the verdict: Virgin can
-// only advance to Exclusive-with-this-owner, which is itself safe.
+// An object with no record (ObjectAllocated gives every heap object and
+// global one) vetoes: creating the record inside an epoch would be safe,
+// since it is object-local, but would change which epochs are admitted.
+// Shared/Shared-Modified veto because refine may empty C(v) and report.
+// Same-thread epoch commits preserve the verdict: Virgin can only advance
+// to Exclusive-with-this-owner, which is itself safe.
 func (d *Detector) EpochCheck(a *sim.Access) bool {
-	info, ok := d.objs[a.Object.ID]
+	info, ok := a.Object.DetectorState.(*objInfo)
 	if !ok {
 		return false
 	}

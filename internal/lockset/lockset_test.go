@@ -3,6 +3,7 @@ package lockset
 import (
 	"testing"
 
+	"kard/internal/alloc"
 	"kard/internal/sim"
 )
 
@@ -117,14 +118,25 @@ func TestScheduleInsensitiveFalsePositive(t *testing.T) {
 }
 
 func TestExclusivePhaseQuiet(t *testing.T) {
+	var o *alloc.Object
+	var st0 state
 	st := run(t, func(e *sim.Engine, m *sim.Thread) {
-		o := m.Malloc(64, "o")
+		o = m.Malloc(64, "o")
 		for i := 0; i < 10; i++ {
 			m.Write(o, 0, 8, "w") // single thread, no locks: exclusive
 		}
+		m.Flush()
+		st0 = o.DetectorState.(*objInfo).st
+		m.Free(o)
 	})
 	if len(st.Races) != 0 {
 		t.Fatalf("single-thread accesses reported: %+v", st.Races)
+	}
+	if st0 != exclusive {
+		t.Errorf("state before free = %d, want exclusive (%d)", st0, exclusive)
+	}
+	if o.DetectorState != nil {
+		t.Errorf("object state = %T after free, want nil", o.DetectorState)
 	}
 }
 

@@ -14,7 +14,9 @@ var ErrFrameExhausted = errors.New("mem: physical frame pool exhausted")
 
 // Frame is one simulated physical page frame. Frames carry no data by
 // default; workloads that want to store real bytes through the simulated
-// memory (the examples do) get a lazily allocated backing array.
+// memory (the examples do) get a lazily allocated backing array. An
+// anonymous page has a Frame only once Load or Store has touched its
+// bytes; until then its frame exists only as a charge in the pool.
 type Frame struct {
 	id FrameID
 
@@ -47,52 +49,66 @@ func (f *Frame) bytes() []byte {
 	return f.data
 }
 
-// framePool allocates and recycles physical frames, tracking the physical
-// memory footprint (distinct frames — what consolidation conserves,
-// §5.3). The process RSS that Table 3 reports is accounted separately in
+// framePool charges, allocates and recycles physical frames, tracking the
+// physical memory footprint (distinct frames — what consolidation
+// conserves, §5.3). The process RSS that Table 3 reports is accounted separately in
 // AddressSpace, per present page-table entry, because Linux VmRSS counts
 // a shared frame once per mapping — which is why the paper's reported
 // memory overhead is "over-estimated rather than under-estimated" (§6).
 type framePool struct {
 	next     FrameID
 	free     []*Frame
-	resident uint64 // physical bytes currently allocated
-	peak     uint64 // peak physical bytes
+	resident uint64 // physical bytes currently charged
 	// limit bounds live frames (0 = unlimited).
 	limit uint64
 	inj   *faultinject.Injector
 }
 
-// alloc returns a fresh (or recycled) frame, or ErrFrameExhausted when
-// the pool's frame limit is reached (recycled frames count: the limit
-// models total physical memory, not allocation traffic).
+// alloc returns a fresh (or recycled) frame, charged, or
+// ErrFrameExhausted.
 func (fp *framePool) alloc() (*Frame, error) {
+	if err := fp.charge(); err != nil {
+		return nil, err
+	}
+	return fp.take(), nil
+}
+
+// charge accounts one more physical frame without handing out a host
+// Frame, or returns ErrFrameExhausted when the pool's frame limit is
+// reached (recycled frames count: the limit models total physical memory,
+// not allocation traffic). An anonymous page is charged at first touch
+// and takes its Frame later, if ever (AddressSpace.copy).
+func (fp *framePool) charge() error {
 	if err := fp.inj.Fail(faultinject.SiteFrameAlloc); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrFrameExhausted, err)
+		return fmt.Errorf("%w: %w", ErrFrameExhausted, err)
 	}
 	if fp.limit > 0 && fp.resident/PageSize >= fp.limit {
-		return nil, fmt.Errorf("%w (limit %d frames)", ErrFrameExhausted, fp.limit)
+		return fmt.Errorf("%w (limit %d frames)", ErrFrameExhausted, fp.limit)
 	}
-	var f *Frame
+	fp.resident += PageSize
+	return nil
+}
+
+// take returns a zeroed, recycled or fresh frame for an already charged
+// page.
+func (fp *framePool) take() *Frame {
 	if n := len(fp.free); n > 0 {
-		f = fp.free[n-1]
+		f := fp.free[n-1]
 		fp.free = fp.free[:n-1]
 		if f.data != nil {
 			clear(f.data)
 		}
-	} else {
-		fp.next++
-		f = &Frame{id: fp.next}
+		return f
 	}
-	fp.resident += PageSize
-	if fp.resident > fp.peak {
-		fp.peak = fp.resident
-	}
-	return f, nil
+	fp.next++
+	return &Frame{id: fp.next}
 }
 
-// release returns a frame to the pool.
+// uncharge gives back the charge of a page that never took its Frame.
+func (fp *framePool) uncharge() { fp.resident -= PageSize }
+
+// release returns a frame to the pool and gives back its charge.
 func (fp *framePool) release(f *Frame) {
-	fp.resident -= PageSize
+	fp.uncharge()
 	fp.free = append(fp.free, f)
 }

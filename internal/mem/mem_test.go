@@ -3,6 +3,7 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestPageMath(t *testing.T) {
@@ -84,13 +85,65 @@ func TestMmapAnonAndTranslate(t *testing.T) {
 	if _, miss, _, _ = as.Translate(a + 200); miss {
 		t.Error("second translation of same page should hit the TLB")
 	}
-	// Second page is a distinct frame.
-	pte2, _, _, err := as.Translate(a + PageSize)
-	if err != nil {
+	// Each anonymous page is charged its own frame at first touch, before
+	// any host Frame exists, and holds its own bytes once stored to.
+	if _, _, _, err := as.Translate(a + PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if pte2.Frame == pte.Frame {
+	if phys := as.PhysicalBytes(); phys != 2*PageSize {
+		t.Errorf("physical = %d after touching both pages, want %d", phys, 2*PageSize)
+	}
+	if err := as.Store(a+8, []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Store(a+PageSize+8, []byte("two")); err != nil {
+		t.Fatal(err)
+	}
+	got1, got2 := make([]byte, 3), make([]byte, 3)
+	if err := as.Load(a+8, got1); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Load(a+PageSize+8, got2); err != nil {
+		t.Fatal(err)
+	}
+	if string(got1) != "one" || string(got2) != "two" {
+		t.Errorf("loaded %q and %q, want %q and %q", got1, got2, "one", "two")
+	}
+	pte1, _ := as.Peek(a)
+	pte2, _ := as.Peek(a + PageSize)
+	if pte1.Frame == nil || pte2.Frame == nil || pte1.Frame == pte2.Frame {
 		t.Error("anonymous pages should have distinct frames")
+	}
+	if phys := as.PhysicalBytes(); phys != 2*PageSize {
+		t.Errorf("physical = %d after storing to both pages, want %d (no second charge)", phys, 2*PageSize)
+	}
+}
+
+// TestPTESize pins the page-table entry at 32 bytes: leaves hold 8192 of
+// them by value, and the TLB slot link must fit in existing padding.
+func TestPTESize(t *testing.T) {
+	if got := unsafe.Sizeof(PTE{}); got != 32 {
+		t.Errorf("sizeof(PTE) = %d, want 32", got)
+	}
+}
+
+// TestFirstTouchAllocatesNothing: mapping an anonymous page and faulting
+// it in through Translate allocates no host memory — the physical frame
+// is charged, and a host Frame waits until Load or Store needs bytes.
+func TestFirstTouchAllocatesNothing(t *testing.T) {
+	as := NewAddressSpace(0)
+	mapTouch := func() {
+		a, err := as.MmapAnon(1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, minor, err := as.Translate(a); err != nil || !minor {
+			t.Fatalf("first translate: minor=%v err=%v", minor, err)
+		}
+	}
+	mapTouch() // allocates the radix leaf for the region
+	if allocs := testing.AllocsPerRun(100, mapTouch); allocs != 0 {
+		t.Errorf("mmap + first translate: %v allocs, want 0", allocs)
 	}
 }
 

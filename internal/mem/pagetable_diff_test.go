@@ -3,16 +3,20 @@ package mem
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // The differential test: two address spaces — one over the production
-// radix page table, one over the map-backed reference implementation —
-// execute identical randomized mmap/munmap/protect/translate/store/load
-// sequences. Every observable must match at every step: operation results,
-// PTE contents, RSS and physical footprints, minor-fault and syscall
-// counters, TLB hit/miss totals, and full page-table walks. This is the
-// proof that the radix rewrite changes no simulated statistic.
+// radix page table and PTE-linked CLOCK dTLB, one over the map-backed
+// reference table and the page-keyed reference CLOCK (refTLB) — execute
+// identical randomized mmap/munmap/protect/translate/store/load sequences.
+// Every observable must match: operation results, each translation's miss
+// and minor-fault outcome, TLB hit/miss totals and the cached pages after
+// every step (with the production TLB's slot ↔ PTE links checked too), and
+// PTE contents, RSS and physical footprints, fault and syscall counters,
+// and full page-table walks at checkpoints. This is the proof that the
+// radix table and the directory-free TLB change no simulated statistic.
 
 // diffPair is the two address spaces under comparison plus the mirrored
 // auxiliary state the driver needs (live mappings, paired memfds).
@@ -21,6 +25,8 @@ type diffPair struct {
 	fdR, fdM   *Memfd
 	// live mappings, as (base page, page count) of successful mmaps.
 	mappings []diffMapping
+	// cached is the production TLB's cached pages after the last step.
+	cached []Page
 }
 
 type diffMapping struct {
@@ -32,20 +38,28 @@ type diffMapping struct {
 // eviction and slot reuse, not just cold inserts.
 const diffTLBEntries = 64
 
-func newDiffPair() *diffPair {
+func newDiffPair(tlbEntries int) *diffPair {
 	d := &diffPair{
-		radix: newAddressSpace(newRadixTable(), NewTLB(diffTLBEntries)),
-		ref:   newAddressSpace(newMapTable(), NewTLB(diffTLBEntries)),
+		radix: newAddressSpace(newRadixTable(), NewTLB(tlbEntries)),
+		ref:   newAddressSpace(newMapTable(), newRefTLB(tlbEntries)),
 	}
 	d.fdR = d.radix.NewMemfd("diff")
 	d.fdM = d.ref.NewMemfd("diff")
 	return d
 }
 
+// diffSource supplies the driver's choices: a seeded *rand.Rand in the
+// randomized test, decoded fuzz input in FuzzTLBDifferential.
+type diffSource interface {
+	Intn(n int) int
+	Uint64() uint64
+	Read(p []byte) (int, error)
+}
+
 // step applies one random operation to both spaces and asserts the
 // immediate results agree. It returns a description of the operation for
 // failure messages.
-func (d *diffPair) step(t *testing.T, rng *rand.Rand) string {
+func (d *diffPair) step(t *testing.T, rng diffSource) string {
 	t.Helper()
 	switch op := rng.Intn(100); {
 	case op < 20: // mmap anonymous
@@ -201,6 +215,38 @@ func comparePTE(t *testing.T, addr Addr, a, b *PTE) {
 	}
 }
 
+// compareTLB asserts the two dTLBs agree after a step — hit and miss
+// totals, and the same pages cached in the same slots behind the same
+// hand — and that the production TLB's slots and PTEs link to each other.
+//
+// The links are checked from every present slot, and from the PTE of
+// every page that was cached before the step: a step links a PTE only by
+// inserting it, it inserts at most two pages, and CLOCK never evicts the
+// slot it filled last before a full lap, so a link left stale by this step
+// can only sit on a page cached before it. compareState walks every PTE.
+func (d *diffPair) compareTLB(t *testing.T, op string) {
+	t.Helper()
+	clock, ref := d.radix.tlb, d.ref.tlbAlt.(*refTLB)
+	if clock.hits != ref.hits || clock.misses != ref.misses {
+		t.Fatalf("after %s: TLB hits/misses radix %d/%d vs ref %d/%d", op, clock.hits, clock.misses, ref.hits, ref.misses)
+	}
+	rp, mp := cachedPages(clock.slots), cachedPages(ref.slots)
+	if !slices.Equal(rp, mp) || clock.hand != ref.hand {
+		t.Fatalf("after %s: cached pages radix %v (hand %d) vs ref %v (hand %d)", op, rp, clock.hand, mp, ref.hand)
+	}
+	prev := d.cached
+	d.cached = rp
+	if err := checkTLBLinks(clock, func(fn func(Page, *PTE) bool) {
+		for _, p := range prev {
+			if pte := d.radix.pages.peek(p); pte != nil && !fn(p, pte) {
+				return
+			}
+		}
+	}); err != nil {
+		t.Fatalf("after %s: %v", op, err)
+	}
+}
+
 // compareState asserts every aggregate statistic and the full page-table
 // contents agree.
 func (d *diffPair) compareState(t *testing.T) {
@@ -228,6 +274,9 @@ func (d *diffPair) compareState(t *testing.T) {
 		if a.rv != a.mv {
 			t.Fatalf("%s: radix %d vs ref %d", a.name, a.rv, a.mv)
 		}
+	}
+	if err := checkTLBLinks(r.tlb, r.pages.walk); err != nil {
+		t.Fatal(err)
 	}
 	// Full page-table walk: identical pages in identical order with
 	// identical entries.
@@ -281,18 +330,76 @@ func TestPageTableDifferential(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			d := newDiffPair()
-			var last string
+			d := newDiffPair(diffTLBEntries)
 			for i := 0; i < opsPerSeed; i++ {
-				last = d.step(t, rng)
+				d.compareTLB(t, d.step(t, rng))
 				if i%checkpoint == checkpoint-1 {
 					d.compareState(t)
 				}
 			}
-			_ = last
 			d.compareState(t)
 		})
 	}
+}
+
+// fuzzSource decodes fuzz input into the driver's choices: two bytes per
+// Intn, eight per Uint64, one per byte read. Exhausted input reads as
+// zeros.
+type fuzzSource struct{ b []byte }
+
+func (s *fuzzSource) byte() byte {
+	if len(s.b) == 0 {
+		return 0
+	}
+	c := s.b[0]
+	s.b = s.b[1:]
+	return c
+}
+
+func (s *fuzzSource) Intn(n int) int {
+	return int((uint64(s.byte())<<8 | uint64(s.byte())) % uint64(n))
+}
+
+func (s *fuzzSource) Uint64() uint64 {
+	var v uint64
+	for i := 0; i < 8; i++ {
+		v = v<<8 | uint64(s.byte())
+	}
+	return v
+}
+
+func (s *fuzzSource) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = s.byte()
+	}
+	return len(p), nil
+}
+
+// FuzzTLBDifferential runs the differential driver on operation sequences
+// decoded from fuzz input — mmap, munmap, protect, translate and store/load
+// — checking each step's results and the dTLBs after every step, and every
+// PTE's slot link at the end. The full-table comparisons of compareState
+// stay in TestPageTableDifferential: their walks cost about a millisecond
+// per input under coverage instrumentation, and the fuzzer spent whole
+// runs minimizing one input. Inputs are capped at 128 bytes, as the
+// allocator fuzz targets cap theirs, and a 4-entry TLB lets sequences that
+// short evict. The seed corpus in testdata/fuzz/FuzzTLBDifferential drives
+// CLOCK eviction, munmap of cached pages, and shared mappings with a
+// rolled-back partial mmap.
+func FuzzTLBDifferential(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 128 {
+			data = data[:128]
+		}
+		src := &fuzzSource{b: data}
+		d := newDiffPair(4)
+		for len(src.b) > 0 {
+			d.compareTLB(t, d.step(t, src))
+		}
+		if err := checkTLBLinks(d.radix.tlb, d.radix.pages.walk); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestMmapSharedRollbackRestoresReservation pins the partial-failure

@@ -8,15 +8,22 @@ import (
 )
 
 // PTE is a simulated page-table entry: which physical frame a virtual page
-// maps, which protection key tags it, and which file (if any) backs it.
+// maps, which protection key tags it, which file (if any) backs it, and
+// which CLOCK dTLB slot (if any) caches it.
 //
-// Mappings are demand-paged, as mmap is: an anonymous page has no frame
-// and a file-backed page is not yet present until the first access
-// touches it (a minor fault). RSS counts touched pages.
+// Mappings are demand-paged, as mmap is: a file-backed page is not
+// present until the first access touches it (a minor fault), and an
+// anonymous page is charged a physical frame at that first touch. RSS
+// counts touched pages. The host Frame of an anonymous page, which holds
+// its bytes, is materialized only when Load or Store first reads or
+// writes them; until then Frame is nil, and simulated accesses, which
+// never look at bytes, need none.
 //
 // PTEs are stored by value inside the radix page table's leaf arrays; the
 // pointers handed out by Translate and Peek alias those slots and stay
-// valid until the page is unmapped.
+// valid until the page is unmapped. The struct is 32 bytes (the tlb link
+// sits in what would otherwise be padding), which sizes a leaf at
+// ~257 KiB.
 type PTE struct {
 	Frame *Frame
 	// Pkey is the MPK protection key tagging the page (0..15). Key 0 is
@@ -24,6 +31,10 @@ type PTE struct {
 	Pkey uint8
 	// touched marks the page present (faulted in).
 	touched bool
+	// tlb is the CLOCK dTLB slot caching this entry, plus one (0 = not
+	// cached). The TLB keeps it in step with its slots on insert,
+	// eviction and invalidation.
+	tlb int32
 	// backing is non-nil for MAP_SHARED mappings of a Memfd.
 	backing *Memfd
 	// backOff is the file offset of the mapped page when backing != nil.
@@ -122,11 +133,11 @@ func (as *AddressSpace) tlbInsert(p Page, pte *PTE) {
 }
 
 // tlbInvalidate drops a translation from whichever model is active.
-func (as *AddressSpace) tlbInvalidate(p Page) {
+func (as *AddressSpace) tlbInvalidate(p Page, pte *PTE) {
 	if as.tlb != nil {
-		as.tlb.Invalidate(p)
+		as.tlb.Invalidate(p, pte)
 	} else {
-		as.tlbAlt.Invalidate(p)
+		as.tlbAlt.Invalidate(p, pte)
 	}
 }
 
@@ -157,7 +168,7 @@ func (as *AddressSpace) reserve(n uint64) Page {
 }
 
 // MmapAnon maps n fresh virtual pages tagged with pkey, returning the base
-// address (mmap with MAP_PRIVATE|MAP_ANONYMOUS). Frames are allocated on
+// address (mmap with MAP_PRIVATE|MAP_ANONYMOUS). Frames are charged on
 // first touch.
 func (as *AddressSpace) MmapAnon(n uint64, pkey uint8) (Addr, error) {
 	as.MmapCalls++
@@ -213,21 +224,20 @@ func (as *AddressSpace) MmapShared(f *Memfd, off uint64, n uint64, pkey uint8) (
 	return base.Base(), nil
 }
 
-// touch faults the page in: the anonymous frame is allocated if missing
-// and the page starts counting toward RSS. It reports whether this was the
-// first touch (a minor fault). Frame-pool exhaustion propagates as an
-// error: the simulated machine has no physical page to back the fault.
+// touch faults the page in: an anonymous page is charged its physical
+// frame, and the page starts counting toward RSS. It reports whether this
+// was the first touch (a minor fault). Frame-pool exhaustion propagates as
+// an error: the simulated machine has no physical page to back the fault.
+// The anonymous page's host Frame is left to copy, the only reader of
+// frame bytes.
 func (as *AddressSpace) touch(pte *PTE) (bool, error) {
 	if pte.touched {
 		return false, nil
 	}
-	if pte.Frame == nil {
-		fr, err := as.frames.alloc()
-		if err != nil {
+	if pte.backing == nil {
+		if err := as.frames.charge(); err != nil {
 			return false, err
 		}
-		pte.Frame = fr
-		fr.mappings++
 	}
 	pte.touched = true
 	as.MinorFaults++
@@ -266,6 +276,7 @@ func (as *AddressSpace) Munmap(addr Addr, n uint64) error {
 
 func (as *AddressSpace) unmapPage(p Page) {
 	pte := as.pages.lookup(p)
+	as.tlbInvalidate(p, pte)
 	if pte.Frame != nil {
 		pte.Frame.mappings--
 		if pte.Frame.mappings == 0 {
@@ -276,12 +287,13 @@ func (as *AddressSpace) unmapPage(p Page) {
 				as.updatePeaks()
 			}
 		}
+	} else if pte.touched {
+		as.frames.uncharge() // anonymous, charged at touch, never materialized
 	}
 	if pte.touched {
 		as.residentPages--
 	}
 	as.pages.remove(p)
-	as.tlbInvalidate(p)
 }
 
 // Protect tags every page overlapping [addr, addr+size) with pkey. This is
@@ -308,15 +320,16 @@ func (as *AddressSpace) Protect(addr Addr, size uint64, pkey uint8) error {
 // an unmapped address returns an error — the simulated program would have
 // segfaulted.
 //
-// The TLB-hit path is allocation-free and kept small enough to inline:
-// every simulated data access funnels through it, so it bounds the
-// evaluation harness's throughput.
+// The MRU-hit path is allocation-free and kept to a slot check, with
+// everything else out of line in translateSlow: every simulated data
+// access funnels through it, so it bounds the evaluation harness's
+// throughput.
 func (as *AddressSpace) Translate(addr Addr) (pte *PTE, miss, minor bool, err error) {
 	p := PageOf(addr)
 	if t := as.tlb; t != nil {
-		// The MRU check of TLB.Lookup, open-coded here because the
-		// combined function exceeds the compiler's inlining budget:
-		// this path runs once per simulated access.
+		// The CLOCK TLB's most-recently-used slot, checked here
+		// without touching the page table: this path runs once per
+		// simulated access.
 		if m := uint(t.mru); m < uint(len(t.slots)) {
 			if s := &t.slots[m]; s.page == p && s.present {
 				t.hits++
@@ -324,17 +337,23 @@ func (as *AddressSpace) Translate(addr Addr) (pte *PTE, miss, minor bool, err er
 				return s.pte, false, false, nil
 			}
 		}
-		if pte = t.lookupSlow(p); pte != nil {
-			return pte, false, false, nil
-		}
-	} else if pte = as.tlbAlt.Lookup(p); pte != nil {
-		return pte, false, false, nil
 	}
 	return as.translateSlow(addr, p)
 }
 
-// translateSlow is the page-walk path after a dTLB miss.
+// translateSlow serves every translation the MRU slot does not: a dTLB
+// probe through the page's entry, then the page walk on a miss. The probe
+// reads the table with peek, so the walk-depth histogram counts only the
+// walks a miss makes, as a hardware page walker would.
 func (as *AddressSpace) translateSlow(addr Addr, p Page) (pte *PTE, miss, minor bool, err error) {
+	pte = as.pages.peek(p)
+	if t := as.tlb; t != nil {
+		if t.Lookup(p, pte) {
+			return pte, false, false, nil
+		}
+	} else if as.tlbAlt.Lookup(p, pte) {
+		return pte, false, false, nil
+	}
 	pte = as.pages.lookup(p)
 	if pte == nil {
 		return nil, true, false, fmt.Errorf("mem: access to unmapped address %s", addr)
@@ -356,7 +375,8 @@ func (as *AddressSpace) TLBResidentPage(p Page) bool {
 	if as.tlb == nil {
 		return false
 	}
-	return as.tlb.Resident(p)
+	pte := as.pages.peek(p)
+	return pte != nil && pte.tlb != 0
 }
 
 // TLBHit commits one dTLB hit for page p, exactly as Translate's hit path
@@ -370,7 +390,10 @@ func (as *AddressSpace) TLBHit(p Page) *PTE {
 	if as.tlb == nil {
 		return nil
 	}
-	return as.tlb.Lookup(p)
+	if pte := as.pages.peek(p); as.tlb.Lookup(p, pte) {
+		return pte
+	}
+	return nil
 }
 
 // Peek returns the page-table entry for addr without touching the TLB or
@@ -450,12 +473,18 @@ func (as *AddressSpace) Load(addr Addr, b []byte) error {
 // each in-frame span with the frame bytes and the running source offset.
 // Each touched page translates through the dTLB (charging the model's
 // hit/miss counters), the same lookup path every engine access takes.
+// An anonymous page gets its host Frame here, on the first copy; its
+// physical frame was already charged when Translate faulted it in.
 func (as *AddressSpace) copy(addr Addr, size uint64, f func(frame []byte, src, n uint64)) error {
 	var done uint64
 	for done < size {
 		pte, _, _, err := as.Translate(addr + Addr(done))
 		if err != nil {
 			return err
+		}
+		if pte.Frame == nil {
+			pte.Frame = as.frames.take()
+			pte.Frame.mappings++
 		}
 		off := Offset(addr + Addr(done))
 		n := PageSize - off

@@ -31,7 +31,6 @@ type SetAssocTLB struct {
 
 type saEntry struct {
 	page    Page
-	pte     *PTE
 	tick    uint64
 	present bool
 }
@@ -99,30 +98,32 @@ func saVictim(set []saEntry) int {
 
 // Lookup probes L1, then the STLB. An STLB hit promotes the translation
 // into L1 (dropping the L1 LRU way, which inclusion keeps resident in L2).
-func (t *SetAssocTLB) Lookup(p Page) *PTE {
+// The sets are tagged by page, so the entry is not consulted: an unmapped
+// page was invalidated at munmap, or never inserted, and misses.
+func (t *SetAssocTLB) Lookup(p Page, _ *PTE) bool {
 	t.tick++
 	s1 := saSet(t.l1, t.l1Sets, t.l1Ways, p)
 	if w := saFind(s1, p); w >= 0 {
 		s1[w].tick = t.tick
 		t.hits++
 		t.l1Hits++
-		return s1[w].pte
+		return true
 	}
 	s2 := saSet(t.l2, t.l2Sets, t.l2Ways, p)
 	if w := saFind(s2, p); w >= 0 {
 		s2[w].tick = t.tick
 		t.hits++
 		t.l2Hits++
-		s1[saVictim(s1)] = saEntry{page: p, pte: s2[w].pte, tick: t.tick, present: true}
-		return s2[w].pte
+		s1[saVictim(s1)] = saEntry{page: p, tick: t.tick, present: true}
+		return true
 	}
 	t.misses++
-	return nil
+	return false
 }
 
 // Insert fills the translation into both levels after a page walk. The L2
 // victim, if valid, is back-invalidated from L1 to preserve inclusion.
-func (t *SetAssocTLB) Insert(p Page, pte *PTE) {
+func (t *SetAssocTLB) Insert(p Page, _ *PTE) {
 	t.tick++
 	s2 := saSet(t.l2, t.l2Sets, t.l2Ways, p)
 	w2 := saFind(s2, p)
@@ -132,13 +133,13 @@ func (t *SetAssocTLB) Insert(p Page, pte *PTE) {
 			t.invalidateL1(s2[w2].page)
 		}
 	}
-	s2[w2] = saEntry{page: p, pte: pte, tick: t.tick, present: true}
+	s2[w2] = saEntry{page: p, tick: t.tick, present: true}
 	s1 := saSet(t.l1, t.l1Sets, t.l1Ways, p)
 	w1 := saFind(s1, p)
 	if w1 < 0 {
 		w1 = saVictim(s1)
 	}
-	s1[w1] = saEntry{page: p, pte: pte, tick: t.tick, present: true}
+	s1[w1] = saEntry{page: p, tick: t.tick, present: true}
 }
 
 func (t *SetAssocTLB) invalidateL1(p Page) {
@@ -149,7 +150,7 @@ func (t *SetAssocTLB) invalidateL1(p Page) {
 }
 
 // Invalidate drops the translation for p from both levels (on munmap).
-func (t *SetAssocTLB) Invalidate(p Page) {
+func (t *SetAssocTLB) Invalidate(p Page, _ *PTE) {
 	t.invalidateL1(p)
 	s2 := saSet(t.l2, t.l2Sets, t.l2Ways, p)
 	if w := saFind(s2, p); w >= 0 {

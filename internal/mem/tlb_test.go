@@ -5,15 +5,39 @@ import (
 	"testing"
 )
 
-// pteFor hands out distinct PTE pointers for direct TLB tests.
-func pteFor(i int) *PTE { return &PTE{Pkey: uint8(i % 16)} }
+// tlbDriver drives a TLB model directly, standing in for the page table:
+// it hands out one PTE per page and passes it with every call, as the
+// address space does. A page must keep its entry, because the CLOCK TLB
+// links its slots through it.
+type tlbDriver struct {
+	TLBModel
+	ptes map[Page]*PTE
+}
+
+func newTLBDriver(m TLBModel) *tlbDriver {
+	return &tlbDriver{TLBModel: m, ptes: map[Page]*PTE{}}
+}
+
+// pte returns page p's entry, creating it on first use.
+func (d *tlbDriver) pte(p Page) *PTE {
+	e := d.ptes[p]
+	if e == nil {
+		e = &PTE{Pkey: uint8(p % 16)}
+		d.ptes[p] = e
+	}
+	return e
+}
+
+func (d *tlbDriver) lookup(p Page) bool { return d.Lookup(p, d.pte(p)) }
+func (d *tlbDriver) insert(p Page)      { d.Insert(p, d.pte(p)) }
+func (d *tlbDriver) invalidate(p Page)  { d.Invalidate(p, d.pte(p)) }
 
 // models returns fresh instances of every TLB model at a small, comparable
 // scale: a 4-entry CLOCK TLB and a 4-entry single-set L1 with a larger L2.
-func models(l1 int) map[string]TLBModel {
-	return map[string]TLBModel{
-		"clock":    NewTLB(l1),
-		"setassoc": newSetAssoc(l1, l1, 4*l1, l1),
+func models(l1 int) map[string]*tlbDriver {
+	return map[string]*tlbDriver{
+		"clock":    newTLBDriver(NewTLB(l1)),
+		"setassoc": newTLBDriver(newSetAssoc(l1, l1, 4*l1, l1)),
 	}
 }
 
@@ -24,20 +48,20 @@ func TestTLBInvalidateThenInsertReusesSlot(t *testing.T) {
 	for name, tlb := range models(4) {
 		t.Run(name, func(t *testing.T) {
 			for i := 0; i < 4; i++ {
-				if tlb.Lookup(Page(i)) != nil {
+				if tlb.lookup(Page(i)) {
 					t.Fatalf("page %d present in empty TLB", i)
 				}
-				tlb.Insert(Page(i), pteFor(i))
+				tlb.insert(Page(i))
 			}
-			tlb.Invalidate(2)
-			if tlb.Lookup(2) != nil {
+			tlb.invalidate(2)
+			if tlb.lookup(2) {
 				t.Fatal("invalidated page still present")
 			}
-			tlb.Insert(100, pteFor(100))
+			tlb.insert(100)
 			// Pages 0, 1, 3 must all have survived: the freed slot
 			// absorbed the insert.
 			for _, p := range []Page{0, 1, 3, 100} {
-				if tlb.Lookup(p) == nil {
+				if !tlb.lookup(p) {
 					t.Errorf("page %d evicted by insert into a freed slot", p)
 				}
 			}
@@ -50,9 +74,9 @@ func TestTLBInvalidateThenInsertReusesSlot(t *testing.T) {
 func TestTLBInvalidateAbsent(t *testing.T) {
 	for name, tlb := range models(4) {
 		t.Run(name, func(t *testing.T) {
-			tlb.Insert(1, pteFor(1))
-			tlb.Invalidate(99)
-			if tlb.Lookup(1) == nil {
+			tlb.insert(1)
+			tlb.invalidate(99)
+			if !tlb.lookup(1) {
 				t.Error("unrelated invalidate dropped a live entry")
 			}
 		})
@@ -63,26 +87,26 @@ func TestTLBInvalidateAbsent(t *testing.T) {
 // must sweep the whole ring (clearing used bits) and evict the slot it
 // started at — the documented second-chance behavior.
 func TestCLOCKEvictAllUsed(t *testing.T) {
-	tlb := NewTLB(4)
+	tlb := newTLBDriver(NewTLB(4))
 	for i := 0; i < 4; i++ {
-		tlb.Insert(Page(i), pteFor(i))
+		tlb.insert(Page(i))
 	}
 	// Every insert set its slot's used bit, so the hand (at slot 0 after
 	// wrapping) sweeps all four, clears them, and evicts page 0.
-	tlb.Insert(4, pteFor(4))
-	if tlb.Lookup(0) != nil {
+	tlb.insert(4)
+	if tlb.lookup(0) {
 		t.Error("page 0 should have been evicted by the full sweep")
 	}
 	for _, p := range []Page{1, 2, 3, 4} {
-		if tlb.Lookup(p) == nil {
+		if !tlb.lookup(p) {
 			t.Errorf("page %d lost; only page 0 should have been evicted", p)
 		}
 	}
 	// The sweep cleared the used bits of 1..3; the Lookups above re-set
 	// them, plus page 4's insert bit. The next insert therefore sweeps
 	// again and evicts the hand's next slot (page 1).
-	tlb.Insert(5, pteFor(5))
-	if tlb.Lookup(1) != nil {
+	tlb.insert(5)
+	if tlb.lookup(1) {
 		t.Error("page 1 should have been the second eviction")
 	}
 }
@@ -92,9 +116,9 @@ func TestCLOCKEvictAllUsed(t *testing.T) {
 func TestTLBResetCountersMidRun(t *testing.T) {
 	for name, tlb := range models(4) {
 		t.Run(name, func(t *testing.T) {
-			tlb.Lookup(7) // miss
-			tlb.Insert(7, pteFor(7))
-			tlb.Lookup(7) // hit
+			tlb.lookup(7) // miss
+			tlb.insert(7)
+			tlb.lookup(7) // hit
 			if tlb.Hits() != 1 || tlb.Misses() != 1 {
 				t.Fatalf("hits=%d misses=%d before reset, want 1/1", tlb.Hits(), tlb.Misses())
 			}
@@ -102,7 +126,7 @@ func TestTLBResetCountersMidRun(t *testing.T) {
 			if tlb.Hits() != 0 || tlb.Misses() != 0 {
 				t.Fatal("ResetCounters did not zero counters")
 			}
-			if tlb.Lookup(7) == nil {
+			if !tlb.lookup(7) {
 				t.Fatal("ResetCounters dropped a cached translation")
 			}
 			if tlb.Hits() != 1 || tlb.Misses() != 0 {
@@ -116,36 +140,35 @@ func TestTLBResetCountersMidRun(t *testing.T) {
 }
 
 // TestTLBReinsertUpdatesEntry: inserting a page that is already cached
-// must update the stored PTE in place, not consume a second slot.
+// must refresh its entry in place, not consume a second slot.
 func TestTLBReinsertUpdatesEntry(t *testing.T) {
 	for name, tlb := range models(4) {
 		t.Run(name, func(t *testing.T) {
-			old, new_ := pteFor(1), pteFor(2)
-			tlb.Insert(5, old)
-			tlb.Insert(5, new_)
-			if got := tlb.Lookup(5); got != new_ {
+			tlb.insert(5)
+			tlb.insert(5)
+			if !tlb.lookup(5) {
 				t.Error("re-insert did not replace the cached PTE")
 			}
 			// Fill the remaining capacity; nothing should evict page 5's
 			// single slot prematurely.
 			for i := 0; i < 3; i++ {
-				tlb.Insert(Page(10+i), pteFor(i))
+				tlb.insert(Page(10 + i))
 			}
-			if tlb.Lookup(5) == nil {
+			if !tlb.lookup(5) {
 				t.Error("double-insert consumed two slots")
 			}
 		})
 	}
 }
 
-// TestCLOCKIndexChurn stresses the open-addressed directory's
-// backward-shift deletion: a long interleaving of inserts, invalidates,
-// and evictions must never lose or resurrect entries. A shadow map mirrors
-// every decision the TLB makes (via its own Insert/Invalidate calls), so
-// any probe-chain corruption surfaces as a presence mismatch.
+// TestCLOCKIndexChurn stresses the slot ↔ PTE links: a long interleaving
+// of inserts, invalidates, and evictions must never lose or resurrect
+// entries. A shadow map mirrors every decision the TLB makes (via its own
+// Insert/Invalidate calls), so a link left stale on either side surfaces
+// as a presence mismatch.
 func TestCLOCKIndexChurn(t *testing.T) {
 	const capacity = 16
-	tlb := NewTLB(capacity)
+	tlb := newTLBDriver(NewTLB(capacity))
 	shadow := map[Page]bool{}
 	rng := uint64(0x243f6a8885a308d3)
 	next := func(n int) int {
@@ -159,19 +182,19 @@ func TestCLOCKIndexChurn(t *testing.T) {
 		p := Page(next(64))
 		switch next(3) {
 		case 0:
-			was := tlb.Lookup(p) != nil
+			was := tlb.lookup(p)
 			if was != shadow[p] {
 				t.Fatalf("op %d: lookup(%d) = %v, shadow %v", i, p, was, shadow[p])
 			}
 		case 1:
 			if !shadow[p] {
-				tlb.Insert(p, pteFor(int(p)))
+				tlb.insert(p)
 				shadow[p] = true
 				// The hand may evict a present page even below capacity
 				// (CLOCK replaces at the hand, it does not hunt for free
 				// slots); mirror whatever the TLB decided by diffing.
 				for q := range shadow {
-					if q != p && tlb.peek(q) == nil {
+					if q != p && tlb.pte(q).tlb == 0 {
 						delete(shadow, q)
 						evictions++
 					}
@@ -182,23 +205,23 @@ func TestCLOCKIndexChurn(t *testing.T) {
 			}
 		case 2:
 			if shadow[p] {
-				tlb.Invalidate(p)
+				tlb.invalidate(p)
 				delete(shadow, p)
 			}
 		}
 	}
 	if evictions == 0 {
-		t.Fatal("churn never triggered an eviction; test is not exercising the index")
+		t.Fatal("churn never triggered an eviction; test is not exercising the links")
 	}
-}
-
-// peek reports the cached PTE without touching counters or used bits —
-// test-only, for mirroring evictions.
-func (t *TLB) peek(p Page) *PTE {
-	if i := t.idx.get(p); i >= 0 {
-		return t.slots[i].pte
+	if err := checkTLBLinks(tlb.TLBModel.(*TLB), func(fn func(Page, *PTE) bool) {
+		for p, pte := range tlb.ptes {
+			if !fn(p, pte) {
+				return
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
-	return nil
 }
 
 // TestSetAssocConflictEviction: pages mapping to the same set evict within
@@ -206,25 +229,26 @@ func (t *TLB) peek(p Page) *PTE {
 func TestSetAssocConflictEviction(t *testing.T) {
 	// 2 sets × 2 ways L1, 2 sets × 4 ways L2.
 	tlb := newSetAssoc(4, 2, 8, 4)
+	d := newTLBDriver(tlb)
 	// Pages 0, 2, 4, 6 all land in set 0 of both levels.
 	for i := 0; i < 3; i++ {
-		tlb.Insert(Page(2*i), pteFor(i))
+		d.insert(Page(2 * i))
 	}
 	// L1 set 0 holds the two most recent (2, 4); page 0 fell to L2 only.
-	if tlb.Lookup(2) == nil || tlb.Lookup(4) == nil {
+	if !d.lookup(2) || !d.lookup(4) {
 		t.Fatal("recent pages missing")
 	}
 	l2Before := tlb.L2Hits()
-	if tlb.Lookup(0) == nil {
+	if !d.lookup(0) {
 		t.Fatal("page 0 should still hit in the STLB")
 	}
 	if tlb.L2Hits() != l2Before+1 {
 		t.Error("page 0 should have been served by the STLB, not L1")
 	}
 	// Odd pages land in set 1 and must not disturb set 0.
-	tlb.Insert(1, pteFor(1))
-	tlb.Insert(3, pteFor(3))
-	if tlb.Lookup(2) == nil && tlb.Lookup(4) == nil {
+	d.insert(1)
+	d.insert(3)
+	if !d.lookup(2) && !d.lookup(4) {
 		t.Error("set-1 inserts evicted set-0 entries")
 	}
 }
@@ -233,16 +257,16 @@ func TestSetAssocConflictEviction(t *testing.T) {
 // can hit L1 after falling out of the STLB.
 func TestSetAssocInclusion(t *testing.T) {
 	// 1 set × 2 ways L1, 1 set × 2 ways L2: tiny, fully conflicting.
-	tlb := newSetAssoc(2, 2, 2, 2)
-	tlb.Insert(10, pteFor(0))
-	tlb.Insert(11, pteFor(1))
+	tlb := newTLBDriver(newSetAssoc(2, 2, 2, 2))
+	tlb.insert(10)
+	tlb.insert(11)
 	// Inserting a third page evicts LRU page 10 from L2; inclusion
 	// requires it to leave L1 too.
-	tlb.Insert(12, pteFor(2))
-	if tlb.Lookup(10) != nil {
+	tlb.insert(12)
+	if tlb.lookup(10) {
 		t.Error("page 10 survived its STLB eviction (inclusion violated)")
 	}
-	if tlb.Lookup(11) == nil || tlb.Lookup(12) == nil {
+	if !tlb.lookup(11) || !tlb.lookup(12) {
 		t.Error("resident pages lost")
 	}
 }
@@ -261,11 +285,12 @@ func TestSetAssocDefaultGeometry(t *testing.T) {
 	}
 	// 65 distinct pages overflow the 64-entry L1 but sit comfortably in
 	// the STLB: everything must still hit.
+	d := newTLBDriver(tlb)
 	for i := 0; i < 65; i++ {
-		tlb.Insert(Page(i), pteFor(i))
+		d.insert(Page(i))
 	}
 	for i := 0; i < 65; i++ {
-		if tlb.Lookup(Page(i)) == nil {
+		if !d.lookup(Page(i)) {
 			t.Fatalf("page %d missed with a warm STLB", i)
 		}
 	}

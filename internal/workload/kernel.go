@@ -62,6 +62,9 @@ type app struct {
 	sites       []string
 	updateSites []string
 	lookupSites []string
+	// Access and lock sites of the worker loop, built once per run.
+	churnSite, churnInitSite, csInnerSite string
+	innerUpdateSite, poolSite, streamSite string
 
 	// Calibration results.
 	cyclesPerEntry float64
@@ -215,16 +218,18 @@ func (a *app) Body(m *sim.Thread, threads int, scale float64) {
 		a.rw = append(a.rw, m.Malloc(a.sharedSize, fmt.Sprintf("%s.rw%d", s.Name, i)))
 		budget--
 	}
+	roSite := s.Name + ".ro"
 	for i := 0; i < roHeap && budget > 0; i++ {
-		a.ro = append(a.ro, m.Malloc(a.fillerOrDefault(), fmt.Sprintf("%s.ro", s.Name)))
+		a.ro = append(a.ro, m.Malloc(a.fillerOrDefault(), roSite))
 		budget--
 	}
 	for b := 0; b < threads && budget > 0; b++ {
 		a.private = append(a.private, m.Malloc(privateBufBytes, fmt.Sprintf("%s.priv%d", s.Name, b)))
 		budget--
 	}
+	heapSite := s.Name + ".heap"
 	for i := 0; budget > 0; i++ {
-		a.filler = append(a.filler, m.Malloc(a.fillerOrDefault(), fmt.Sprintf("%s.heap", s.Name)))
+		a.filler = append(a.filler, m.Malloc(a.fillerOrDefault(), heapSite))
 		budget--
 	}
 	for len(a.private) < threads { // tiny specs (aget: 24 heap objects)
@@ -256,6 +261,9 @@ func (a *app) Body(m *sim.Thread, threads int, scale float64) {
 	if a.nestEvery > 0 {
 		a.nestObj = m.Malloc(a.sharedSize, s.Name+".inner-obj")
 	}
+	a.churnSite, a.churnInitSite = s.Name+".churn", s.Name+".churn-init"
+	a.csInnerSite, a.innerUpdateSite = s.Name+".cs-inner", s.Name+".inner-update"
+	a.poolSite, a.streamSite = s.Name+".pool", s.Name+".stream"
 
 	a.calibrate()
 
@@ -309,8 +317,8 @@ func (a *app) worker(t *sim.Thread, tid, threads int, entries uint64, nSec int, 
 				if len(a.churnSizes) > 0 {
 					size = a.churnSizes[int(i)%len(a.churnSizes)]
 				}
-				tmp := t.Malloc(size, s.Name+".churn")
-				t.Write(tmp, 0, min64(size, 32), s.Name+".churn-init")
+				tmp := t.Malloc(size, a.churnSite)
+				t.Write(tmp, 0, min64(size, 32), a.churnInitSite)
 				t.Free(tmp)
 			}
 		}
@@ -355,8 +363,8 @@ func (a *app) worker(t *sim.Thread, tid, threads int, entries uint64, nSec int, 
 			t.Read(a.ro[idx], 0, 8, a.lookupSites[sec])
 		}
 		if a.nestEvery > 0 && i%uint64(a.nestEvery) == 0 {
-			t.Lock(a.nestMu, s.Name+".cs-inner")
-			t.Write(a.nestObj, 0, 8, s.Name+".inner-update")
+			t.Lock(a.nestMu, a.csInnerSite)
+			t.Write(a.nestObj, 0, 8, a.innerUpdateSite)
 			t.Unlock(a.nestMu)
 		}
 		if a.insideCS != nil {
@@ -377,13 +385,13 @@ func (a *app) worker(t *sim.Thread, tid, threads int, entries uint64, nSec int, 
 			if end > window {
 				end = window
 			}
-			t.Sweep(a.filler[start:end], min64(a.fillerOrDefault(), 64), mpk.Read, s.Name+".pool")
+			t.Sweep(a.filler[start:end], min64(a.fillerOrDefault(), 64), mpk.Read, a.poolSite)
 		}
 		if a.remBytes > 0 {
 			left := a.remBytes
 			for left > 0 {
 				n := min64(left, privateBufBytes)
-				t.Write(priv, 0, n, s.Name+".stream")
+				t.Write(priv, 0, n, a.streamSite)
 				left -= n
 			}
 		}
