@@ -51,8 +51,8 @@ bench-gate:
 	$(GO) run ./cmd/benchgate -baseline BENCH_baseline.json
 
 # The batched-execution benchmarks (DESIGN.md §12) on their own: the
-# steady-state access loops (plain, metrics, traced), the 4-thread epoch
-# path, the sync-point drain stress, and Sweep — all must report 0
+# steady-state access loops (plain, metrics, traced), 4-thread batched
+# replay, the sync-point drain stress, and Sweep — all must report 0
 # allocs/op.
 bench-parallel:
 	$(GO) test -run '^$$' -bench 'AccessSteadyState|AccessBatchedParallel|ReconcileSyncPoint|Sweep' \

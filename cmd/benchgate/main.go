@@ -59,8 +59,8 @@ var gated = []struct {
 	{name: "AccessSteadyStateTraced", maxNS: 200},
 	{name: "OpDispatch", maxNS: 250},
 	{name: "LockUnlock", maxNS: 1000},
-	{name: "AccessBatchedParallel"},
-	{name: "ReconcileSyncPoint"},
+	{name: "AccessBatchedParallel"}, // 4-thread batched replay, full batches
+	{name: "ReconcileSyncPoint"},    // 4-thread batched replay, a drain per 16 accesses
 	{name: "Sweep"},
 }
 

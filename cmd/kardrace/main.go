@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"kard/internal/harness"
@@ -21,14 +22,14 @@ import (
 	"kard/internal/workload"
 )
 
-// explainRace renders a race's forensic provenance (DESIGN.md §13):
+// explainRace writes a race's forensic provenance (DESIGN.md §13) to w:
 // who touched the object, under which locks, how it moved between
 // protection domains, and what the threads synchronized on just before
 // detection.
-func explainRace(race sim.Race) {
+func explainRace(w io.Writer, race sim.Race) {
 	p := race.Provenance
 	if p == nil {
-		fmt.Println("  (no provenance recorded)")
+		fmt.Fprintln(w, "  (no provenance recorded)")
 		return
 	}
 	describe := func(role string, a sim.AccessDesc) {
@@ -44,36 +45,36 @@ func explainRace(race sim.Race) {
 		if section == "" {
 			section = "(no section)"
 		}
-		fmt.Printf("  %-6s %s by %s at %q in %s\n", role+":", kind, name, a.Site, section)
+		fmt.Fprintf(w, "  %-6s %s by %s at %q in %s\n", role+":", kind, name, a.Site, section)
 	}
 	describe("first", p.First)
 	describe("second", p.Second)
 	if len(p.LocksHeld) > 0 {
-		fmt.Printf("  locks held at detection: %v\n", p.LocksHeld)
+		fmt.Fprintf(w, "  locks held at detection: %v\n", p.LocksHeld)
 	} else {
-		fmt.Println("  locks held at detection: none")
+		fmt.Fprintln(w, "  locks held at detection: none")
 	}
-	fmt.Printf("  detected in reconciliation epoch %d, batch drain %d\n", p.Epoch, p.Drain)
+	fmt.Fprintf(w, "  detected in batch drain %d\n", p.Drain)
 	if len(p.DomainHistory) > 0 {
-		fmt.Println("  protection-domain history (oldest first):")
+		fmt.Fprintln(w, "  protection-domain history (oldest first):")
 		for _, d := range p.DomainHistory {
 			if d.Key > 0 {
-				fmt.Printf("    t=%-8d %s (pkey %d)\n", d.Time, d.Domain, d.Key)
+				fmt.Fprintf(w, "    t=%-8d %s (pkey %d)\n", d.Time, d.Domain, d.Key)
 			} else {
-				fmt.Printf("    t=%-8d %s\n", d.Time, d.Domain)
+				fmt.Fprintf(w, "    t=%-8d %s\n", d.Time, d.Domain)
 			}
 		}
 	}
 	if len(p.SyncEdges) > 0 {
-		fmt.Println("  recent synchronization edges (oldest first):")
+		fmt.Fprintln(w, "  recent synchronization edges (oldest first):")
 		for _, s := range p.SyncEdges {
 			switch {
 			case s.Label != "":
-				fmt.Printf("    t=%-8d %s by thread %d (%s)\n", s.Time, s.Kind, s.Thread, s.Label)
+				fmt.Fprintf(w, "    t=%-8d %s by thread %d (%s)\n", s.Time, s.Kind, s.Thread, s.Label)
 			case s.Other >= 0:
-				fmt.Printf("    t=%-8d %s by thread %d (peer %d)\n", s.Time, s.Kind, s.Thread, s.Other)
+				fmt.Fprintf(w, "    t=%-8d %s by thread %d (peer %d)\n", s.Time, s.Kind, s.Thread, s.Other)
 			default:
-				fmt.Printf("    t=%-8d %s by thread %d\n", s.Time, s.Kind, s.Thread)
+				fmt.Fprintf(w, "    t=%-8d %s by thread %d\n", s.Time, s.Kind, s.Thread)
 			}
 		}
 	}
@@ -140,7 +141,7 @@ func main() {
 			fmt.Printf("  conflicts with thread %d in section %q\n", race.OtherThread, race.OtherSection)
 			fmt.Printf("  inconsistent lock usage: %v; virtual time %d\n", race.ILU, race.Time)
 			if *explain {
-				explainRace(race)
+				explainRace(os.Stdout, race)
 			}
 			fmt.Println()
 		}

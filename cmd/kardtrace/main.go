@@ -1,9 +1,8 @@
 // Command kardtrace runs one workload cell with structured tracing on and
 // renders the cell's Chrome trace export as a text log, one line per
 // event in the order the engine executed them: thread spawn/join/exit,
-// lock/unlock, barriers, malloc/free, batch drains, reconciliation
-// epochs, and race reports. Use it to debug a detector or a workload
-// model.
+// lock/unlock, barriers, malloc/free, batch drains, and race reports.
+// Use it to debug a detector or a workload model.
 //
 // Usage:
 //

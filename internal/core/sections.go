@@ -206,22 +206,17 @@ func (d *Detector) OnAccess(a *sim.Access) cycles.Duration {
 	return 0
 }
 
-// EpochCheck implements sim.EpochDetector: an access is epoch-safe exactly
-// when the MPK check would not fault — the hardware-permitted path of
-// OnAccess is pure and free, which is the whole point of Kard (§5.2). The
-// thread's PKRU and the page's key cannot change inside an epoch (both are
-// only written by synchronization and allocation hooks, which the engine
-// excludes), so a no-fault verdict here still holds at commit time.
-func (d *Detector) EpochCheck(a *sim.Access) bool {
-	pte, ok := d.eng.Space().Peek(a.Addr)
-	if !ok {
-		return true // OnAccess returns 0 without observing anything
-	}
-	return mpk.Check(a.Thread.PKRU, pte, a.Addr, a.Kind) == nil
-}
+// EpochCheck is never called: the engine no longer runs reconciliation
+// epochs.
+//
+// Deprecated: kept so Detector still satisfies sim.EpochDetector for the
+// perfbench module; it goes with that interface.
+func (d *Detector) EpochCheck(*sim.Access) bool { return false }
 
-// EpochCost implements sim.EpochDetector: permitted accesses cost nothing.
-func (d *Detector) EpochCost(a *sim.Access) cycles.Duration { return 0 }
+// EpochCost is never called; see EpochCheck.
+//
+// Deprecated: it goes with sim.EpochDetector.
+func (d *Detector) EpochCost(*sim.Access) cycles.Duration { return 0 }
 
 var _ sim.EpochDetector = (*Detector)(nil)
 

@@ -14,16 +14,15 @@ import (
 // every comparator detector and several seeds, must produce statistics,
 // race reports, and progress summaries that encode to exactly the same
 // bytes under ExecModeSerial (the scalar oracle) and the default
-// ExecModeParallel (batched replay plus reconciliation epochs), the mode
-// every non-test run executes. Anything that moves — a clock, a TLB
-// counter, an operation count, a race record — is a bug in the batch or
-// epoch machinery, not noise.
+// ExecModeParallel (batched replay), the mode every non-test run
+// executes. Anything that moves — a clock, a TLB counter, an operation
+// count, a race record — is a bug in the batch machinery, not noise.
 //
 // The full sweep is every registered workload (the 19 applications plus
 // the race corpus) x 3 detectors x 5 seeds, each run in both modes;
 // -short (and -race, whose ~10x slowdown would push the full sweep past
 // any sane package timeout) trims the seeds and detectors, still
-// crossing every workload's drain and epoch paths.
+// crossing every workload's drain paths.
 func TestExecModeDifferential(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5}
 	modes := []Mode{ModeKard, ModeTSan, ModeLockset}

@@ -97,7 +97,7 @@ type Options struct {
 	Metrics bool
 	// Trace, when non-nil, is the trace track the run's engine records
 	// boundary events onto (sim.Config.Trace): the run span, drains,
-	// epochs, sync-rate instants. Like Metrics it never alters simulated
+	// sync-rate instants. Like Metrics it never alters simulated
 	// behavior, so it does not participate in cache keys, and it is
 	// excluded from serialized results.
 	Trace *trace.Track `json:"-"`

@@ -209,7 +209,7 @@ func runCell(i int, spec Spec, mo MatrixOptions) MatrixResult {
 		// One track per cell, tid = 1-based spec index: track identity
 		// (and every span ID minted on it) is a pure function of the
 		// spec list, independent of which worker picks the cell up. The
-		// engine's run/drain/epoch events land on this same track, nested
+		// engine's run/drain/sync events land on this same track, nested
 		// under the cell span; all timestamps here are logical (-1 =
 		// "just after the previous event"), never wall clock.
 		tk = mo.Trace.Track(1, i+1, spec.Label(), 0)

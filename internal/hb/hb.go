@@ -356,60 +356,17 @@ func (d *Detector) Finish() {}
 // Races implements sim.Detector.
 func (d *Detector) Races() []sim.Race { return d.races }
 
-// EpochCheck implements sim.EpochDetector: an access may commit inside a
-// parallel epoch only if replaying it cannot report a race and touches
-// nothing outside its object's shadow ring. Three veto classes:
+// EpochCheck is never called: the engine no longer runs reconciliation
+// epochs.
 //
-//   - Exact mode: the per-granule shadow map inserts granules lazily.
-//   - Object with no ring yet: the first access allocates the ring, which
-//     is object-local and so would be safe to create inside an epoch;
-//     the veto stays because lifting it would change which epochs are
-//     admitted, and with them the engine's epoch counters. One vetoed
-//     epoch replays the access on the scalar path and creates the ring.
-//   - Any surviving ring conflict: the same scan OnAccess performs. A
-//     conflict here would call report; epochs never report.
-//
-// The verdict stays valid through the epoch: the only ring writes before
-// the commit are this thread's own (the engine guarantees one thread per
-// object), and own-tid entries are skipped by the scan — same-thread
-// overwrites can only evict conflicting entries, never add them, and the
-// thread's vector clock is frozen (no synchronization inside an epoch).
-func (d *Detector) EpochCheck(a *sim.Access) bool {
-	if d.opts.Exact {
-		return false
-	}
-	sh, ok := a.Object.DetectorState.(*shadow)
-	if !ok {
-		return false
-	}
-	t := a.Thread
-	tc := clockOf(t)
-	off := a.Offset()
-	lo, hi := off, off+a.Size
-	for i := range sh.recent {
-		prev := &sh.recent[i]
-		if !prev.valid || prev.ep.tid == t.ID() {
-			continue
-		}
-		if prev.hi <= lo || hi <= prev.lo {
-			continue // disjoint ranges
-		}
-		if prev.kind != mpk.Write && a.Kind != mpk.Write {
-			continue // read-read
-		}
-		if prev.ep.happensBefore(tc.vc) {
-			continue // ordered
-		}
-		return false // OnAccess would report
-	}
-	return true
-}
+// Deprecated: kept so Detector still satisfies sim.EpochDetector for the
+// perfbench module; it goes with that interface.
+func (d *Detector) EpochCheck(*sim.Access) bool { return false }
 
-// EpochCost implements sim.EpochDetector: the per-unit instrumentation
-// charge, independent of detector state and thread clocks.
-func (d *Detector) EpochCost(a *sim.Access) cycles.Duration {
-	return cycles.Duration(a.Units()) * cycles.TSanAccess
-}
+// EpochCost is never called; see EpochCheck.
+//
+// Deprecated: it goes with sim.EpochDetector.
+func (d *Detector) EpochCost(*sim.Access) cycles.Duration { return 0 }
 
 var (
 	_ sim.Detector      = (*Detector)(nil)

@@ -199,37 +199,4 @@ func sectionLabel(t *sim.Thread) string {
 	return "<no section>"
 }
 
-// EpochCheck implements sim.EpochDetector: only the two ownership states
-// that Eraser resolves without refining C(v) are epoch-safe — Virgin
-// (becomes Exclusive, owned by the accessor) and Exclusive under the same
-// owner. Both mutate only the object's own record and can never report.
-// An object with no record (ObjectAllocated gives every heap object and
-// global one) vetoes: creating the record inside an epoch would be safe,
-// since it is object-local, but would change which epochs are admitted.
-// Shared/Shared-Modified veto because refine may empty C(v) and report.
-// Same-thread epoch commits preserve the verdict: Virgin can only advance
-// to Exclusive-with-this-owner, which is itself safe.
-func (d *Detector) EpochCheck(a *sim.Access) bool {
-	info, ok := a.Object.DetectorState.(*objInfo)
-	if !ok {
-		return false
-	}
-	switch info.st {
-	case virgin:
-		return true
-	case exclusive:
-		return info.owner == a.Thread.ID()
-	}
-	return false
-}
-
-// EpochCost implements sim.EpochDetector: the per-unit Eraser charge,
-// independent of detector state and thread clocks.
-func (d *Detector) EpochCost(a *sim.Access) cycles.Duration {
-	return cycles.Duration(a.Units()) * cycles.LocksetAccess
-}
-
-var (
-	_ sim.Detector      = (*Detector)(nil)
-	_ sim.EpochDetector = (*Detector)(nil)
-)
+var _ sim.Detector = (*Detector)(nil)

@@ -15,12 +15,10 @@ type pageTable interface {
 	// lookup returns the entry for p, or nil if unmapped.
 	lookup(p Page) *PTE
 	// peek is lookup without the walk-depth accounting: a pure read that
-	// mutates nothing, safe to call from concurrent readers while no
-	// writer runs. The engine's epoch commit phase replays detector
-	// hooks on parallel goroutines, and those hooks inspect the table
-	// through AddressSpace.Peek — a depth counter bump there would be a
-	// data race (and would skew the translation-walk histogram with
-	// inspections that model no hardware walk).
+	// mutates nothing. Detector hooks inspect the table through
+	// AddressSpace.Peek, and the dTLB hit path probes it; a depth counter
+	// bump there would skew the translation-walk histogram with reads
+	// that model no hardware walk.
 	peek(p Page) *PTE
 	// insert maps p to a copy of pte and returns the stored entry.
 	insert(p Page, pte PTE) *PTE

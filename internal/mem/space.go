@@ -366,41 +366,10 @@ func (as *AddressSpace) translateSlow(addr Addr, p Page) (pte *PTE, miss, minor 
 	return pte, true, minor, nil
 }
 
-// TLBResidentPage reports whether page p is cached in the CLOCK dTLB
-// without observable effect: no counters, no used bits, no MRU movement.
-// It returns false when a non-CLOCK model is active — the engine then
-// never admits a parallel epoch, because only the CLOCK model's hit
-// commit is order-independent (DESIGN.md §12).
-func (as *AddressSpace) TLBResidentPage(p Page) bool {
-	if as.tlb == nil {
-		return false
-	}
-	pte := as.pages.peek(p)
-	return pte != nil && pte.tlb != 0
-}
-
-// TLBHit commits one dTLB hit for page p, exactly as Translate's hit path
-// would: hits counter, used bit, MRU hint. The engine's epoch commit uses
-// it for pages TLBResidentPage already proved cached; the split keeps the
-// epoch's per-thread translation accounting byte-identical to the scalar
-// path without re-running the miss machinery. It returns nil (and charges
-// a miss — the caller must treat that as an invariant violation) if p is
-// not actually resident or a non-CLOCK model is active.
-func (as *AddressSpace) TLBHit(p Page) *PTE {
-	if as.tlb == nil {
-		return nil
-	}
-	if pte := as.pages.peek(p); as.tlb.Lookup(p, pte) {
-		return pte
-	}
-	return nil
-}
-
 // Peek returns the page-table entry for addr without touching the TLB or
-// faulting the page in. Kard's fault handler uses it when inspecting the
-// faulting address, and detector hooks call it from the engine's epoch
-// commit phase, where several goroutines read concurrently — it is a pure
-// read with no counter or telemetry side effects.
+// faulting the page in. Kard's access hook uses it to read the page's
+// protection key: a pure read with no counter or telemetry side effects,
+// so an inspection never shows up as a modeled walk.
 func (as *AddressSpace) Peek(addr Addr) (*PTE, bool) {
 	pte := as.pages.peek(PageOf(addr))
 	return pte, pte != nil

@@ -73,11 +73,15 @@ type Metrics struct {
 	SimRunsWatchdog   *Counter
 	SimRunsDeadline   *Counter
 
-	// sim — batched execution and epoch reconciliation (DESIGN.md §12).
-	// Per-run tallies are plain engine fields flushed at run teardown, so
-	// the batched access path stays allocation- and atomic-free.
-	SimBatchDrains   *Counter
-	SimBatchDepth    *Histogram
+	// sim — batched execution (DESIGN.md §12). Per-run tallies are plain
+	// engine fields flushed at run teardown, so the batched access path
+	// stays allocation- and atomic-free.
+	SimBatchDrains *Counter
+	SimBatchDepth  *Histogram
+
+	// Deprecated: the engine no longer runs reconciliation epochs. These
+	// three are unregistered counters that always read 0, kept only
+	// because the perfbench module still reads them.
 	SimEpochs        *Counter
 	SimEpochAccesses *Counter
 	SimEpochVetoes   *Counter
@@ -200,12 +204,9 @@ func RegisterMetrics(r *Registry) *Metrics {
 			"Per-thread access batches drained at sync points, buffer fills, and explicit flushes."),
 		SimBatchDepth: r.Histogram("kard_sim_batch_depth",
 			"Buffered accesses per batch drain.", BatchDepthBuckets),
-		SimEpochs: r.Counter("kard_sim_epochs_total",
-			"Parallel reconciliation epochs executed (conflict-free batches fanned out)."),
-		SimEpochAccesses: r.Counter("kard_sim_epoch_accesses_total",
-			"Access operations committed inside parallel epochs instead of the scalar replay."),
-		SimEpochVetoes: r.Counter("kard_sim_epoch_vetoes_total",
-			"Epoch admissions vetoed by the conflict check and replayed on the scalar path."),
+		SimEpochs:        new(Counter),
+		SimEpochAccesses: new(Counter),
+		SimEpochVetoes:   new(Counter),
 
 		SvcQueueDepth: r.Gauge("kard_service_queue_depth", "Jobs admitted and not yet dispatched to a worker."),
 		SvcRejectsSaturated: r.Counter("kard_service_rejects_total",

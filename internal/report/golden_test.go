@@ -15,22 +15,25 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // pinned at and the generator that prints it. Each golden file holds the
 // bytes the generator writes, which kardbench prints between its
 // "==== title ====" header and a blank line. Table 2 is static; tables
-// 1 and 4 are directed scenarios at kardbench's default scale.
+// 1 and 4 are directed scenarios at kardbench's default scale. slow
+// marks the two selectors that take seconds (table 3, figure 5; the
+// rest take under one together), which a -race build skips.
 var goldens = []struct {
 	selector string
 	file     string
 	scale    float64
+	slow     bool
 	run      func(w io.Writer, o Options) error
 }{
-	{"-table 1", "table1.txt", 0.2, Table1},
-	{"-table 2", "table2.txt", 0.2, func(w io.Writer, _ Options) error { Table2(w, -1); return nil }},
-	{"-table 3 -scale 0.02", "table3.txt", 0.02, func(w io.Writer, o Options) error { _, err := Table3(w, o); return err }},
-	{"-table 4", "table4.txt", 0.2, Table4},
-	{"-table 5 -scale 0.05", "table5.txt", 0.05, Table5},
-	{"-table 6 -scale 0.05", "table6.txt", 0.05, Table6},
-	{"-table ilu -scale 1", "ilu.txt", 1, ILUShare},
-	{"-figure 5 -scale 0.02", "figure5.txt", 0.02, Figure5},
-	{"-sweep nginx -scale 0.05", "nginx.txt", 0.05, NginxSweep},
+	{"-table 1", "table1.txt", 0.2, false, Table1},
+	{"-table 2", "table2.txt", 0.2, false, func(w io.Writer, _ Options) error { Table2(w, -1); return nil }},
+	{"-table 3 -scale 0.02", "table3.txt", 0.02, true, func(w io.Writer, o Options) error { _, err := Table3(w, o); return err }},
+	{"-table 4", "table4.txt", 0.2, false, Table4},
+	{"-table 5 -scale 0.05", "table5.txt", 0.05, false, Table5},
+	{"-table 6 -scale 0.05", "table6.txt", 0.05, false, Table6},
+	{"-table ilu -scale 1", "ilu.txt", 1, false, ILUShare},
+	{"-figure 5 -scale 0.02", "figure5.txt", 0.02, true, Figure5},
+	{"-sweep nginx -scale 0.05", "nginx.txt", 0.05, false, NginxSweep},
 }
 
 // TestGoldens pins the reproduction's printed results: every selector
@@ -40,6 +43,9 @@ var goldens = []struct {
 // intended change, and commit them with it.
 func TestGoldens(t *testing.T) {
 	for _, g := range goldens {
+		if g.slow && raceEnabled && !*update {
+			continue
+		}
 		var out strings.Builder
 		o := Options{Threads: 4, Scale: g.scale, Seed: 1, Jobs: 2}
 		if err := g.run(&out, o); err != nil {

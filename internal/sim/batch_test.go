@@ -14,12 +14,12 @@ import (
 	"kard/internal/mpk"
 )
 
-// epochWorkload is a program shaped to let reconciliation epochs fire:
+// batchWorkload is a program that exercises every way a batch drains:
 // several threads, each hammering its own objects with long access runs
-// separated only by pure sync points (buffer-full drains and computes),
-// plus enough cross-thread synchronization (locks, a barrier, a sweep)
-// to exercise the drain-at-sync-point path too.
-func epochWorkload(threads, accesses int) func(e *Engine, m *Thread) {
+// that fill the buffer, separated by computes, plus enough cross-thread
+// synchronization (locks, a barrier, a sweep) to drain at sync points
+// too.
+func batchWorkload(threads, accesses int) func(e *Engine, m *Thread) {
 	return func(e *Engine, m *Thread) {
 		mu := e.NewMutex("mu")
 		bar := e.NewBarrier(threads)
@@ -72,7 +72,7 @@ func runMode(t *testing.T, mode string, seed int64, body func(e *Engine, m *Thre
 // lives in the harness package; this one pins the engine in isolation.
 func TestExecModesByteIdentical(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		body := epochWorkload(4, 400)
+		body := batchWorkload(4, 400)
 		want, _ := runMode(t, ExecModeSerial, seed, body)
 		wantJS, err := json.Marshal(want)
 		if err != nil {
@@ -92,53 +92,40 @@ func TestExecModesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEpochsFire proves the parallel path is actually exercised: a
-// multi-threaded access-heavy program under ExecModeParallel must commit
-// at least one reconciliation epoch, and its stats must still match the
-// serial oracle (TestExecModesByteIdentical covers the comparison; this
-// test guards against epochs silently never firing, which would leave
-// the epoch machinery untested).
-func TestEpochsFire(t *testing.T) {
-	body := epochWorkload(4, 400)
-	_, e := runMode(t, ExecModeParallel, 1, body)
-	drains, epochs, accesses, _ := e.BatchStats()
-	if epochs == 0 {
-		t.Fatalf("no epochs committed (drains=%d)", drains)
-	}
-	if accesses == 0 {
-		t.Fatal("epochs committed but no accesses attributed to them")
-	}
-	t.Logf("drains=%d epochs=%d epochAccesses=%d", drains, epochs, accesses)
-
-	// The default mode is the parallel one, epochs included.
+// TestBatchDrains guards against batching silently switching off, which
+// would leave the batched path untested while the differential tests
+// still pass: the default mode must drain batches, as often as the
+// explicit "parallel" mode, and the serial oracle must never drain.
+func TestBatchDrains(t *testing.T) {
+	body := batchWorkload(4, 400)
 	_, ed := runMode(t, "", 1, body)
-	if _, got, _, _ := ed.BatchStats(); got != epochs {
-		t.Fatalf("default mode ran %d epochs, parallel %d", got, epochs)
+	drains := ed.BatchDrains()
+	if drains == 0 {
+		t.Fatal("default mode drained no batches")
 	}
-	// Serial mode must never drain batches.
+	_, ep := runMode(t, ExecModeParallel, 1, body)
+	if got := ep.BatchDrains(); got != drains {
+		t.Fatalf("parallel mode drained %d batches, default %d", got, drains)
+	}
 	_, es := runMode(t, ExecModeSerial, 1, body)
-	if drains, _, _, _ := es.BatchStats(); drains != 0 {
-		t.Fatalf("serial mode drained %d batches", drains)
+	if got := es.BatchDrains(); got != 0 {
+		t.Fatalf("serial mode drained %d batches", got)
 	}
 }
 
 // TestBatchDrainNoGoroutineLeak: every Run exit path must leave no
-// goroutine behind — epoch workers are per-epoch goroutines, batch drains
-// must not leave threads parked, and deadlock, panic, and watchdog
-// teardowns must release every parked, ready, and queued thread. After
-// each kind of run the process goroutine count must return to its
-// baseline.
+// goroutine behind — batch drains must not leave threads parked, and
+// deadlock, panic, and watchdog teardowns must release every parked,
+// ready, and queued thread. After each kind of run the process goroutine
+// count must return to its baseline.
 func TestBatchDrainNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	settled := func(label string) { t.Helper(); waitGoroutines(t, base, label) }
 
 	for i := 0; i < 5; i++ {
-		_, e := runMode(t, ExecModeParallel, int64(i+1), epochWorkload(4, 200))
-		if _, epochs, _, _ := e.BatchStats(); i == 0 && epochs == 0 {
-			t.Log("warning: no epochs fired in leak-check workload")
-		}
+		runMode(t, "", int64(i+1), batchWorkload(4, 200))
 	}
-	settled("epoch runs")
+	settled("batched runs")
 
 	e := New(Config{}, nil)
 	a, b, both := e.NewMutex("a"), e.NewMutex("b"), e.NewBarrier(2)
@@ -386,8 +373,7 @@ func TestBufferFullDrains(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	drains, _, _, _ := e.BatchStats()
-	if drains == 0 {
+	if e.BatchDrains() == 0 {
 		t.Error("no drain recorded")
 	}
 }

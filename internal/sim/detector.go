@@ -80,14 +80,15 @@ type Race struct {
 	// Provenance is the forensic record attached at detection time
 	// (provenance.go): the conflicting access pair, locks held, the
 	// object's protection-domain transition history (Kard only), recent
-	// synchronization edges, and the detecting epoch/drain counters.
+	// synchronization edges, and the detecting drain counter.
 	Provenance *RaceProvenance `json:"provenance,omitempty"`
 }
 
 // Detector observes execution events and implements a data race detection
 // scheme. Each hook returns the extra virtual cycles the observed thread
-// must pay — the instrumentation cost of that scheme. Hooks run on the
-// engine's scheduler, so implementations need no internal locking.
+// must pay — the instrumentation cost of that scheme. Every hook runs on
+// the goroutine holding the engine's baton, one at a time, so
+// implementations need no internal locking.
 type Detector interface {
 	// Name identifies the detector in reports.
 	Name() string
@@ -118,17 +119,13 @@ type Detector interface {
 	CSExit(t *Thread, cs *CriticalSection, m *Mutex) cycles.Duration
 
 	// OnAccess fires for every data access. The record behind a is
-	// engine-owned batch storage, reused across calls (the
-	// zero-allocation fast path depends on it): on the scalar and batch
-	// replay paths one engine-level record carries every access in turn,
-	// and inside a parallel reconciliation epoch (DESIGN.md §12) each
-	// thread's accesses are replayed through that thread's own reused
-	// record, with OnAccess calls for different threads running
-	// concurrently. Implementations must therefore copy any fields they
-	// need and must not retain the pointer past the call — a retained
-	// pointer's contents are overwritten by the very next access of the
-	// same thread (TestRetainingDetectorIsCaught pins that), and under
-	// the parallel engine it is a host-level data race.
+	// engine-owned, reused across calls (the zero-allocation fast path
+	// depends on it): on the scalar and batch replay paths alike one
+	// engine-level record carries every access in turn. Implementations
+	// must therefore copy any fields they need and must not retain the
+	// pointer past the call — a retained pointer's contents are
+	// overwritten by the very next access (TestRetainingDetectorIsCaught
+	// pins that).
 	OnAccess(a *Access) cycles.Duration
 
 	// BarrierPassed fires when all participants passed a barrier.
@@ -142,39 +139,16 @@ type Detector interface {
 	Races() []Race
 }
 
-// EpochDetector is the optional capability a Detector implements to let
-// conflict-free access batches of different threads commit concurrently
-// inside a reconciliation epoch (DESIGN.md §12). The engine type-asserts
-// for it under ExecModeParallel; a detector that does not implement it
-// (or whose checks veto) simply keeps the byte-identical scalar replay.
+// EpochDetector was the capability a Detector implemented to let access
+// batches of different threads commit on concurrent goroutines
+// (reconciliation epochs). The engine no longer runs epochs and never
+// calls either method.
 //
-// The contract that keeps epochs byte-identical to the scalar
-// interleaving:
-//
-//   - EpochCheck must be pure — no detector state may change, no race may
-//     be recorded — and must return true only if OnAccess for a, applied
-//     to the current detector state plus any number of *same-thread*
-//     epoch accesses, (a) cannot report a race, (b) mutates only state
-//     confined to a.Object or a.Thread, and (c) returns exactly
-//     EpochCost(a).
-//   - EpochCost must be pure and must not read thread clocks: the engine
-//     pre-charges it in a serial commit pass before the concurrent
-//     OnAccess replay, and verifies the replayed cost against it.
-//
-// The engine guarantees in exchange: within one epoch each object is
-// touched by exactly one thread, every page is dTLB-resident, no
-// synchronization, allocation, free, or fault occurs between the check
-// and the commit, and OnAccess runs in program order per thread (threads
-// concurrent with each other).
+// Deprecated: kept only because the perfbench module still wraps
+// detectors through it; delete it once perfbench no longer does.
 type EpochDetector interface {
 	Detector
-
-	// EpochCheck reports whether a may be committed inside a parallel
-	// epoch. Returning false vetoes the whole epoch (the batches replay
-	// on the scalar path); it is always safe.
 	EpochCheck(a *Access) bool
-
-	// EpochCost returns the exact duration OnAccess will charge for a.
 	EpochCost(a *Access) cycles.Duration
 }
 
@@ -201,14 +175,4 @@ func (*Baseline) BarrierPassed([]*Thread) cycles.Duration                   { re
 func (*Baseline) Finish()                                                   {}
 func (*Baseline) Races() []Race                                             { return nil }
 
-// EpochCheck implements EpochDetector: the no-op detector has no state to
-// shard and no races to report, so every access is epoch-safe.
-func (*Baseline) EpochCheck(*Access) bool { return true }
-
-// EpochCost implements EpochDetector: Baseline charges nothing.
-func (*Baseline) EpochCost(*Access) cycles.Duration { return 0 }
-
-var (
-	_ Detector      = (*Baseline)(nil)
-	_ EpochDetector = (*Baseline)(nil)
-)
+var _ Detector = (*Baseline)(nil)

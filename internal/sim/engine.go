@@ -61,19 +61,17 @@ type Config struct {
 	// run enforces it).
 	Metrics bool
 	// ExecMode selects the access execution path (DESIGN.md §12):
-	// ExecModeParallel ("" and the default) buffers accesses per thread,
-	// replays them through the scheduler, and commits conflict-free
-	// batches concurrently in reconciliation epochs; ExecModeSerial parks
-	// every access individually — the differential oracle. Both produce
+	// ExecModeParallel ("" and the default) buffers accesses per thread
+	// and replays them through the scheduler; ExecModeSerial parks every
+	// access individually — the differential oracle. Both produce
 	// byte-identical statistics, verdicts, and race reports. New panics
 	// on any other value.
 	ExecMode string
 	// Trace, when non-nil, receives structured span events from the run:
 	// the run span, sync-operation and malloc/free instants, batch-drain
-	// instants, reconciliation-epoch spans with their commit/replay
-	// phases, epoch vetoes, races, watchdog firings, and fault-injection
-	// retries. Events record at operation-boundary rate, never per
-	// access, and all timestamps are virtual clocks — a traced run is as
+	// instants, races, watchdog firings, and fault-injection retries.
+	// Events record at operation-boundary rate, never per access, and
+	// all timestamps are virtual clocks — a traced run is as
 	// deterministic as an untraced one, and a nil Trace costs one
 	// predictable branch per boundary (benchgate's
 	// AccessSteadyStateTraced run pins the traced cost).
@@ -145,28 +143,16 @@ type Engine struct {
 	// heap through the interface call); detectors must not retain the
 	// pointer past the OnAccess call, which the Detector interface
 	// documents. Those paths run only on the goroutine holding the baton,
-	// so one record per engine is safe; parallel epochs use the per-thread
-	// epochScratch records instead.
+	// so one record per engine is safe.
 	scratch Access
 
-	// Batched execution (DESIGN.md §12, internal/sim/batch.go).
-	execMode string // resolved Config.ExecMode
-	batching bool   // execMode == ExecModeParallel
-	// epochDet is non-nil when reconciliation epochs may run: parallel
-	// mode, an EpochDetector, and the CLOCK dTLB (the set-associative
-	// model's LRU touches are order-sensitive, so it never epochs).
-	epochDet  EpochDetector
-	epochHold bool // a vetoed configuration; re-check only after a new arrival
-	epochFoot map[*alloc.Object]*Thread
-	// epochThreads is the reusable per-epoch participant list.
-	epochThreads []*Thread
+	// Batched execution (DESIGN.md §12, internal/sim/batch.go):
+	// Config.ExecMode is not ExecModeSerial.
+	batching bool
 
-	// Per-run batch/epoch telemetry, flushed to obs at teardown.
-	batchDrains   uint64
-	batchDepth    [10]uint64 // power-of-two drain-depth buckets
-	epochCount    uint64
-	epochAccesses uint64
-	epochVetoes   uint64
+	// Per-run batch telemetry, flushed to obs at teardown.
+	batchDrains uint64
+	batchDepth  [10]uint64 // power-of-two drain-depth buckets
 
 	// tr is the structured trace track (Config.Trace; nil = off). All
 	// events record on the goroutine holding the baton at boundary rate.
@@ -208,23 +194,13 @@ func New(cfg Config, det Detector) *Engine {
 		activeSections: make(map[*CriticalSection]int),
 	}
 	switch cfg.ExecMode {
-	case "", ExecModeParallel:
-		e.execMode = ExecModeParallel
-	case ExecModeSerial:
-		e.execMode = ExecModeSerial
+	case "", ExecModeParallel, ExecModeSerial:
 	default:
 		panic(fmt.Sprintf("sim: unknown ExecMode %q (want %q or %q)",
 			cfg.ExecMode, ExecModeParallel, ExecModeSerial))
 	}
-	e.batching = e.execMode == ExecModeParallel
+	e.batching = cfg.ExecMode != ExecModeSerial
 	e.tr = cfg.Trace
-	if e.batching {
-		if ed, ok := det.(EpochDetector); ok {
-			if _, clock := as.TLB().(*mem.TLB); clock {
-				e.epochDet = ed
-			}
-		}
-	}
 	if !cfg.Faults.Empty() {
 		e.inj = faultinject.New(cfg.Seed, cfg.Faults)
 		as.SetInjector(e.inj)
@@ -266,7 +242,15 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // ExecMode returns the resolved execution mode the engine runs under:
 // Config.ExecMode after defaulting.
-func (e *Engine) ExecMode() string { return e.execMode }
+//
+// Deprecated: only the perfbench module still reads it. Config().ExecMode
+// holds the configured value, with "" meaning the default.
+func (e *Engine) ExecMode() string {
+	if e.batching {
+		return ExecModeParallel
+	}
+	return ExecModeSerial
+}
 
 // Global registers a global object before the run starts. Kard aggregates
 // global metadata during compilation and registers it when the program
@@ -477,9 +461,6 @@ func (e *Engine) finishObs(outcome string) {
 			m.SimBatchDepth.ObserveN(float64(uint64(1)<<(i-1)), n)
 		}
 	}
-	m.SimEpochs.Add(e.epochCount)
-	m.SimEpochAccesses.Add(e.epochAccesses)
-	m.SimEpochVetoes.Add(e.epochVetoes)
 	m.SimRaces.Add(uint64(len(e.detector.Races())))
 	if e.inj != nil {
 		fs := e.inj.Stats()
@@ -654,7 +635,6 @@ func (e *Engine) schedule(t *Thread) opResult {
 	exited := false // t's exit wake was consumed: no result will come
 	for !e.abort.Load() && len(e.ready)+len(e.parked) > 0 {
 		if len(e.ready) == 0 {
-			e.tryEpoch()
 			if th := e.pickNext(); th.batchPos < len(th.batch) {
 				e.executeBatchEntry(th)
 			} else {
@@ -692,10 +672,8 @@ func (e *Engine) schedule(t *Thread) opResult {
 }
 
 // arrive admits a thread that parked: telemetry for a freshly drained
-// batch, epoch re-admission (a new arrival is the only event that can
-// change a vetoed epoch configuration), then activation.
+// batch, then activation.
 func (e *Engine) arrive(t *Thread) {
-	e.epochHold = false
 	if len(t.batch) > 0 && t.batchPos == 0 {
 		e.noteDrain(len(t.batch))
 	}

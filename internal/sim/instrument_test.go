@@ -10,13 +10,13 @@ import (
 
 // TestEngineTraceDeterministic: two same-seed runs of the same workload
 // must export byte-identical Chrome JSON, and the export must carry the
-// engine's structural events (run span, drains, epochs) and its sync and
+// engine's structural events (run span, drains) and its sync and
 // malloc/free instants.
 func TestEngineTraceDeterministic(t *testing.T) {
 	export := func() string {
 		tr := trace.NewTracer(7, "sim-test", 0)
 		e := New(Config{Seed: 7, Trace: tr.Track(1, 1, "cell", 0)}, nil)
-		if _, err := e.Run(func(m *Thread) { epochWorkload(4, 400)(e, m) }); err != nil {
+		if _, err := e.Run(func(m *Thread) { batchWorkload(4, 400)(e, m) }); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -29,13 +29,15 @@ func TestEngineTraceDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatal("same-seed traced runs exported different Chrome JSON")
 	}
-	for _, want := range []string{`"name":"run"`, `"name":"drain"`, `"name":"epoch"`,
-		`"name":"epoch.commit"`, `"name":"epoch.replay"`, `"name":"run.outcome"`,
+	for _, want := range []string{`"name":"run"`, `"name":"drain"`, `"name":"run.outcome"`,
 		`"name":"lock"`, `"name":"unlock"`, `"name":"barrier"`, `"name":"spawn"`,
 		`"name":"join"`, `"name":"exit"`, `"name":"malloc"`, `"name":"free"`} {
 		if !strings.Contains(a, want) {
 			t.Errorf("export missing %s", want)
 		}
+	}
+	if strings.Contains(a, `"name":"epoch`) {
+		t.Error("export carries an epoch event; the engine no longer runs epochs")
 	}
 }
 
@@ -45,7 +47,7 @@ func TestEngineTraceDeterministic(t *testing.T) {
 func TestTracedRunMatchesUntraced(t *testing.T) {
 	run := func(track *trace.Track) *Stats {
 		e := New(Config{Seed: 3, Trace: track}, nil)
-		st, err := e.Run(func(m *Thread) { epochWorkload(3, 300)(e, m) })
+		st, err := e.Run(func(m *Thread) { batchWorkload(3, 300)(e, m) })
 		if err != nil {
 			t.Fatal(err)
 		}

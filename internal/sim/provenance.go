@@ -4,8 +4,8 @@ package sim
 // race report at detection time, answering the triage questions a bare
 // (object, offset, two sites) tuple cannot — which locks the detecting
 // thread held, how the object moved between protection domains, what the
-// threads synchronized on recently, and where in the batched execution
-// (epoch, drain) detection happened.
+// threads synchronized on recently, and at which batch drain detection
+// happened.
 //
 // The raw material is collected allocation-free as the run executes: the
 // engine stores synchronization edges into a fixed ring at sync
@@ -14,10 +14,9 @@ package sim
 // allocates, but only when a race is actually reported — race recording
 // is already the allocating slow path.
 //
-// Every detector records races on the goroutine holding the baton: the
-// scalar and batch-replay paths run there, and the EpochDetector contract
-// forbids admitting an access that could report a race into a parallel
-// epoch. So BuildProvenance may read engine state without locking.
+// Every detector hook, and so every race report, runs on the goroutine
+// holding the baton, one at a time. So BuildProvenance may read engine
+// state without locking.
 
 import (
 	"sort"
@@ -79,15 +78,13 @@ type RaceProvenance struct {
 	// DomainHistory is the object's recent protection-domain transitions,
 	// oldest first (Kard detector only; nil for tsan/lockset).
 	DomainHistory []DomainStep `json:",omitempty"`
-	// Epoch and Drain are the engine's committed-epoch and batch-drain
-	// counters at detection — which reconciliation epoch and which drain
-	// the run was in when the race surfaced. They are execution-mode
-	// telemetry (serial runs never drain), so like BatchStats they stay
+	// Drain is the engine's batch-drain counter at detection — which
+	// drain the run was in when the race surfaced. It is execution-mode
+	// telemetry (serial runs never drain), so like BatchDrains it stays
 	// out of the serialized record: the cross-mode differential oracle
 	// byte-compares race reports, and only schedule-derived facts may
-	// appear there. In-process consumers (the trace's race instants, the
-	// kardrace explainer) read them from the live record.
-	Epoch uint64 `json:"-"`
+	// appear there. In-process consumers (the kardrace explainer) read
+	// it from the live record.
 	Drain uint64 `json:"-"`
 	// SyncEdges are the most recent synchronization edges (≤
 	// provenanceEdges), oldest first.
@@ -110,7 +107,7 @@ func (e *Engine) noteSync(kind, argKey string, thread, other int, label string, 
 
 // BuildProvenance assembles the forensic record for a freshly built race
 // report: the access pair from the report itself, the detecting thread's
-// held locks, the engine's epoch/drain position, and the recent sync
+// held locks, the engine's drain position, and the recent sync
 // edges. Detector-specific context (Kard's domain history) is filled in
 // by the caller afterwards. Must run on the goroutine holding the baton,
 // where all race recording happens.
@@ -127,7 +124,6 @@ func (e *Engine) BuildProvenance(r *Race) *RaceProvenance {
 			Section: r.Section,
 			Kind:    r.Kind.String(),
 		},
-		Epoch: e.epochCount,
 		Drain: e.batchDrains,
 	}
 	if r.OtherThread >= 0 && r.OtherThread < len(e.threads) {

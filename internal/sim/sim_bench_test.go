@@ -131,11 +131,11 @@ func BenchmarkAccessSteadyStateTraced(b *testing.B) {
 }
 
 // BenchmarkAccessBatchedParallel is the multi-threaded steady state: four
-// threads hammer disjoint objects under the default parallel mode, so
-// buffer-full drains align and reconciliation epochs commit the batches
-// with the detector replay fanned out across worker goroutines. Per-epoch
-// bookkeeping (admission scan, worker spawns, WaitGroup) amortizes over
-// 512 accesses, so the loop must stay at 0 allocs/op.
+// threads hammer disjoint objects under the default mode, so every batch
+// fills and the pick loop replays four threads' batches interleaved, with
+// the baton passing between their goroutines. The park and hand-off cost
+// amortizes over each 128-access batch, so the loop must stay at 0
+// allocs/op.
 func BenchmarkAccessBatchedParallel(b *testing.B) {
 	e := New(Config{Seed: 1}, nil)
 	per := b.N/4 + 1
@@ -160,9 +160,9 @@ func BenchmarkAccessBatchedParallel(b *testing.B) {
 
 // BenchmarkReconcileSyncPoint stresses the drain boundary instead of the
 // buffered fast path: four threads flush every 16 accesses, so the
-// park/pick/replay (or epoch) machinery runs 8× more often per access
-// than under full 128-entry batches. This is the cost model for
-// synchronization-heavy programs, which drain at every lock operation.
+// park/pick/replay machinery runs 8× more often per access than under
+// full 128-entry batches. This is the cost model for synchronization-
+// heavy programs, which drain at every lock operation.
 func BenchmarkReconcileSyncPoint(b *testing.B) {
 	e := New(Config{Seed: 1}, nil)
 	per := b.N/(4*16) + 1

@@ -52,19 +52,16 @@ type Thread struct {
 
 	// access statistics
 	accessUnits uint64
-	// Per-thread dTLB accounting, accumulated on every execution path
-	// (scalar, batch replay, epoch commit); TLBStats exposes it.
+	// Per-thread dTLB accounting, accumulated on both execution paths
+	// (scalar and batch replay); TLBStats exposes it.
 	tlbHits   uint64
 	tlbMisses uint64
 
 	// Batched execution (DESIGN.md §12): the fixed-capacity access
-	// buffer Read/Write/Sweep append to, the engine-side replay cursor,
-	// and the thread-confined Access record parallel epochs replay
-	// through (one per thread, so concurrent OnAccess calls of different
-	// threads never share a record).
-	batch        []batchEntry
-	batchPos     int
-	epochScratch Access
+	// buffer Read/Write/Sweep append to and the engine-side replay
+	// cursor.
+	batch    []batchEntry
+	batchPos int
 }
 
 // SectionEntry is one active critical-section activation on a thread.
@@ -91,9 +88,9 @@ func (t *Thread) Engine() *Engine { return t.eng }
 // one critical section.
 func (t *Thread) InCriticalSection() bool { return len(t.Sections) > 0 }
 
-// TLBStats returns the thread's dTLB hit and miss counts. Every execution
-// path accumulates them identically — scalar submits, batch replay, and
-// epoch commits — so the split is byte-stable across ExecMode settings.
+// TLBStats returns the thread's dTLB hit and miss counts. Both execution
+// paths — scalar submits and batch replay — accumulate them identically,
+// so the split is byte-stable across ExecMode settings.
 func (t *Thread) TLBStats() (hits, misses uint64) { return t.tlbHits, t.tlbMisses }
 
 // Holds reports whether the thread currently holds m.

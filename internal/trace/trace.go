@@ -232,7 +232,7 @@ func (tr *Tracer) snapshot() ([]Event, map[int]string, map[trackKey]string) {
 // It buffers events in a fixed-capacity slice and flushes to the tracer
 // at the capacity boundary. A mutex serializes writers: recording is a
 // few stores under an uncontended lock, cheap enough for boundary-rate
-// instrumentation (drains, epochs, RPCs — never per access).
+// instrumentation (drains, sync operations, RPCs — never per access).
 type Track struct {
 	tracer *Tracer
 	pid    int
@@ -267,8 +267,9 @@ func (k *Track) nextSpanLocked() uint64 {
 
 // record appends one event, clamping ts monotonically: ts < 0 means
 // "just after the previous event", and a caller-supplied ts that would
-// go backwards (wall-clock ties, epoch commits that advance past a
-// lagging thread) is lifted to lastTs+1. Deterministic inputs stay
+// go backwards (wall-clock ties, or one simulated thread's event
+// recorded after another's at a later virtual clock) is lifted to
+// lastTs+1. Deterministic inputs stay
 // deterministic under the clamp; every track stays monotonic.
 func (k *Track) record(ev Event) {
 	if k == nil {
