@@ -52,10 +52,10 @@ bench-gate:
 
 # The batched-execution benchmarks (DESIGN.md §12) on their own: the
 # steady-state access loops (plain, metrics, traced), 4-thread batched
-# replay, the sync-point drain stress, and Sweep — all must report 0
-# allocs/op.
+# replay, the sync-point drain stress, Sweep, and buffered Compute — all
+# must report 0 allocs/op.
 bench-parallel:
-	$(GO) test -run '^$$' -bench 'AccessSteadyState|AccessBatchedParallel|ReconcileSyncPoint|Sweep' \
+	$(GO) test -run '^$$' -bench 'AccessSteadyState|AccessBatchedParallel|ReconcileSyncPoint|Sweep|ComputeBuffered' \
 		-benchmem -count 3 ./internal/sim/
 
 # Fault-injection soak: race verdicts must be identical with and without

@@ -43,10 +43,13 @@ import (
 // drift bound — the access loops stay within ~3x their measured cost, and
 // a park that resumes its own thread makes no goroutine switch, since the
 // parking thread runs the scheduler itself (OpDispatch, LockUnlock).
+// zeroAlloc holds a benchmark at 0 allocs/op even when the baseline
+// predates it.
 var gated = []struct {
-	name   string
-	nsGate bool
-	maxNS  float64
+	name      string
+	nsGate    bool
+	maxNS     float64
+	zeroAlloc bool
 }{
 	{name: "TranslateHit", nsGate: true},
 	{name: "TranslateMiss", nsGate: true},
@@ -58,6 +61,7 @@ var gated = []struct {
 	{name: "AccessSteadyStateMetrics", maxNS: 200},
 	{name: "AccessSteadyStateTraced", maxNS: 200},
 	{name: "OpDispatch", maxNS: 250},
+	{name: "ComputeBuffered", maxNS: 60, zeroAlloc: true}, // a batch entry; a park per 128
 	{name: "LockUnlock", maxNS: 1000},
 	{name: "AccessBatchedParallel"}, // 4-thread batched replay, full batches
 	{name: "ReconcileSyncPoint"},    // 4-thread batched replay, a drain per 16 accesses
@@ -245,6 +249,9 @@ func gate(base, cur map[string]result, threshold float64) []string {
 		if c, ok := cur[g.name]; ok && g.maxNS > 0 && c.NsPerOp > g.maxNS {
 			failures = append(failures, fmt.Sprintf("%s: %.2f ns/op exceeds the absolute ceiling %.0f ns/op",
 				g.name, c.NsPerOp, g.maxNS))
+		}
+		if c, ok := cur[g.name]; ok && g.zeroAlloc && c.AllocsPerOp > 0 {
+			failures = append(failures, fmt.Sprintf("%s: %d allocs/op, want 0", g.name, c.AllocsPerOp))
 		}
 		b, inBase := base[g.name]
 		if !inBase {

@@ -47,10 +47,12 @@ type Object struct {
 
 	// DetectorState is per-object scratch for the run's detector, as
 	// sim.Thread, sim.Mutex and sim.CriticalSection carry per-thread and
-	// per-lock state: the happens-before detector's shadow ring, the
-	// lockset detector's Eraser record. Every access already holds its
-	// object, so the state needs no ID-keyed table. It stays out of the
-	// JSON race records that embed the object.
+	// per-lock state: Kard's domain record, the happens-before
+	// detector's shadow ring, the lockset detector's Eraser record.
+	// Every access and fault already holds its object, so the state
+	// needs no ID-keyed table; each detector sets it to nil when the
+	// object is freed. It stays out of the JSON race records that embed
+	// the object.
 	DetectorState any `json:"-"`
 }
 

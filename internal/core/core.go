@@ -113,8 +113,10 @@ type Detector struct {
 	opts Options
 	eng  *sim.Engine
 
-	// objects maps every tracked sharable object to its domain state.
-	objects map[alloc.ObjectID]*objState
+	// live lists every tracked sharable object's domain state, for
+	// Counters; objState.live is each record's index. The record itself
+	// hangs off the object, in alloc.Object.DetectorState.
+	live []*objState
 
 	// keys is the key-section map (§5.3, Figure 3): for every
 	// Read-write key, which objects it protects and which threads and
@@ -192,7 +194,6 @@ func New(opts Options) *Detector {
 	}
 	return &Detector{
 		opts:    opts,
-		objects: make(map[alloc.ObjectID]*objState),
 		seen:    make(map[raceKey]int),
 		pending: make(map[*objState]struct{}),
 		unprot:  make(map[*objState]struct{}),
@@ -206,9 +207,7 @@ func (d *Detector) Name() string { return "kard" }
 func (d *Detector) Setup(e *sim.Engine) {
 	d.eng = e
 	for i := range d.keys {
-		d.keys[i].holders = make(map[*sim.Thread]mpk.Perm)
-		d.keys[i].objects = make(map[alloc.ObjectID]*objState)
-		d.keys[i].sections = make(map[*sim.CriticalSection]struct{})
+		d.keys[i].init()
 	}
 }
 
@@ -216,7 +215,7 @@ func (d *Detector) Setup(e *sim.Engine) {
 func (d *Detector) Counters() Counts {
 	c := d.counts
 	c.SharedRO = 0
-	for _, os := range d.objects {
+	for _, os := range d.live {
 		if os.domain == DomainReadOnly {
 			c.SharedRO++
 		}
@@ -253,9 +252,11 @@ func (d *Detector) FlushObs() {
 }
 
 // objState is Kard's per-object record: current domain, assigned key, and
-// interleaving state.
+// interleaving state. It lives in the object's DetectorState from the
+// object's allocation (or first fault) to its free.
 type objState struct {
 	obj    *alloc.Object
+	live   int // index in Detector.live
 	domain Domain
 	// key is the Read-write domain key protecting the object, valid
 	// when domain == DomainReadWrite and unprotected is false.
@@ -315,11 +316,21 @@ const objStateMetadataBytes = 112
 
 // state returns (creating if needed) the detector record for o.
 func (d *Detector) state(o *alloc.Object) *objState {
-	if os, ok := d.objects[o.ID]; ok {
+	if os, ok := o.DetectorState.(*objState); ok {
 		return os
 	}
-	os := &objState{obj: o, domain: DomainNotAccessed}
-	d.objects[o.ID] = os
+	os := &objState{obj: o, live: len(d.live), domain: DomainNotAccessed}
+	o.DetectorState = os
+	d.live = append(d.live, os)
 	d.eng.Space().ChargeMetadata(objStateMetadataBytes)
 	return os
+}
+
+// drop detaches o's record from the object and the live list.
+func (d *Detector) drop(os *objState) {
+	last := d.live[len(d.live)-1]
+	d.live[os.live] = last
+	last.live = os.live
+	d.live = d.live[:len(d.live)-1]
+	os.obj.DetectorState = nil
 }

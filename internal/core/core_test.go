@@ -33,6 +33,13 @@ func runDet(t *testing.T, seed int64, det *Detector, body func(e *sim.Engine, ma
 	return st
 }
 
+// stateOf returns Kard's record for o, which hangs off the object, or nil
+// when the detector tracks none.
+func stateOf(o *alloc.Object) *objState {
+	os, _ := o.DetectorState.(*objState)
+	return os
+}
+
 // TestFigure1aExclusiveWrite reproduces Figure 1a: t1 writes o under lock
 // la while t2 reads o under lock lb — inconsistent lock usage, one race.
 func TestFigure1aExclusiveWrite(t *testing.T) {
@@ -195,7 +202,7 @@ func TestDomainMigration(t *testing.T) {
 		m.Read(o, 0, 8, "r") // NA → RO
 		m.Unlock(mu)
 
-		os := det.objects[o.ID]
+		os := stateOf(o)
 		if os.domain != DomainReadOnly {
 			t.Errorf("after read: domain = %s, want read-only", os.domain)
 		}
@@ -288,10 +295,10 @@ func TestKeyReuseWithinSection(t *testing.T) {
 		m.Write(b, 0, 8, "wb")
 		m.Write(c, 0, 8, "wc")
 		m.Unlock(mu)
-		ka := det.objects[a.ID].key
-		if det.objects[b.ID].key != ka || det.objects[c.ID].key != ka {
+		ka := stateOf(a).key
+		if stateOf(b).key != ka || stateOf(c).key != ka {
 			t.Errorf("keys differ: %v %v %v, want all equal",
-				ka, det.objects[b.ID].key, det.objects[c.ID].key)
+				ka, stateOf(b).key, stateOf(c).key)
 		}
 	})
 	if n := det.Counters().SharedRWEver; n != 3 {
@@ -324,7 +331,7 @@ func TestKeyRecycling(t *testing.T) {
 	// The recycled key's object moved to the Read-only domain.
 	recycledToRO := 0
 	for _, o := range objs {
-		if os := det.objects[o.ID]; os != nil && os.domain == DomainReadOnly {
+		if os := stateOf(o); os != nil && os.domain == DomainReadOnly {
 			recycledToRO++
 		}
 	}
@@ -664,19 +671,31 @@ func TestNonILUExtension(t *testing.T) {
 }
 
 // TestFreeCleansState: freeing a tracked object drops its key assignment
-// and detector state.
+// and detector state, and a freed Read-only object leaves the SharedRO
+// count.
 func TestFreeCleansState(t *testing.T) {
 	det := New(Options{})
 	runDet(t, 1, det, func(e *sim.Engine, m *sim.Thread) {
 		mu := e.NewMutex("m")
-		o := m.Malloc(64, "o")
+		o, ro := m.Malloc(64, "o"), m.Malloc(64, "ro")
 		m.Lock(mu, "s")
 		m.Write(o, 0, 8, "w")
+		m.Read(ro, 0, 8, "r")
 		m.Unlock(mu)
-		k := det.objects[o.ID].key
+		if n := det.Counters().SharedRO; n != 1 {
+			t.Fatalf("SharedRO = %d before free, want 1", n)
+		}
+		m.Free(ro)
+		if n := det.Counters().SharedRO; n != 0 {
+			t.Errorf("SharedRO = %d after freeing the read-only object, want 0", n)
+		}
+		if ro.DetectorState != nil {
+			t.Errorf("read-only object state = %T after free, want nil", ro.DetectorState)
+		}
+		k := stateOf(o).key
 		m.Free(o)
-		if _, ok := det.objects[o.ID]; ok {
-			t.Error("object state not removed on free")
+		if o.DetectorState != nil {
+			t.Errorf("object state = %T after free, want nil", o.DetectorState)
 		}
 		if _, ok := det.key(k).objects[o.ID]; ok {
 			t.Error("key still references freed object")
@@ -693,7 +712,7 @@ func TestNestedSectionsKeyRestore(t *testing.T) {
 		oa, ob := m.Malloc(32, "oa"), m.Malloc(32, "ob")
 		m.Lock(ma, "outer")
 		m.Write(oa, 0, 8, "wa")
-		ka := det.objects[oa.ID].key
+		ka := stateOf(oa).key
 		m.Lock(mb, "inner")
 		m.Write(ob, 0, 8, "wb")
 		m.Unlock(mb)

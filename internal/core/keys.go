@@ -37,6 +37,13 @@ type keyState struct {
 	everRWReleased    bool
 }
 
+// init gives the key empty object, holder and section sets.
+func (ks *keyState) init() {
+	ks.objects = make(map[alloc.ObjectID]*objState)
+	ks.holders = make(map[*sim.Thread]mpk.Perm)
+	ks.sections = make(map[*sim.CriticalSection]struct{})
+}
+
 // key returns the state of Read-write key k.
 func (d *Detector) key(k mpk.Pkey) *keyState { return &d.keys[k-FirstRW] }
 

@@ -185,7 +185,8 @@ func TestInvariantKeyMapsConsistent(t *testing.T) {
 		}
 		// Every Read-write object is indexed under its key (unless
 		// temporarily unprotected) and its pages carry that key.
-		for id, os := range det.objects {
+		for _, os := range det.live {
+			id := os.obj.ID
 			if os.domain != DomainReadWrite || os.unprotected {
 				continue
 			}
@@ -262,7 +263,8 @@ func TestPropertyKeyBudgetNeverExceeded(t *testing.T) {
 
 		used := map[mpk.Pkey]bool{}
 		lastAllowed := FirstRW + mpk.Pkey(budget) - 1
-		for id, os := range det.objects {
+		for _, os := range det.live {
+			id := os.obj.ID
 			pte, ok := e.Space().Peek(os.obj.Base)
 			if !ok {
 				t.Fatalf("seed %d: object %d has no page table entry", seed, id)

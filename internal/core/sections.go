@@ -112,7 +112,7 @@ func (d *Detector) ObjectAllocated(t *sim.Thread, o *alloc.Object) cycles.Durati
 // ObjectFreed implements sim.Detector: drop tracking state; the key, if
 // any, stops protecting the object.
 func (d *Detector) ObjectFreed(t *sim.Thread, o *alloc.Object) cycles.Duration {
-	os, ok := d.objects[o.ID]
+	os, ok := o.DetectorState.(*objState)
 	if !ok {
 		return 0
 	}
@@ -121,7 +121,7 @@ func (d *Detector) ObjectFreed(t *sim.Thread, o *alloc.Object) cycles.Duration {
 	}
 	delete(d.pending, os)
 	delete(d.unprot, os)
-	delete(d.objects, o.ID)
+	d.drop(os)
 	d.eng.Space().ChargeMetadata(-objStateMetadataBytes)
 	return cycles.MapUpdate
 }

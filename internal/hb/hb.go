@@ -7,13 +7,20 @@
 //
 // Shadow-state representation: instead of per-8-byte shadow cells, the
 // detector keeps a small ring of recent access summaries per object, each
-// an epoch (thread, scalar clock) plus the accessed byte range and whether
-// the accessor held any lock (for the ILU / non-ILU split of Table 6).
-// Races older than the ring depth can be missed, like TSan's 4-slot shadow
-// cells can; the depth is configurable. The ring (or, in Exact mode, the
-// object's granule map) hangs off the object itself, in
-// alloc.Object.DetectorState, as thread clocks hang off sim.Thread: the
+// an epoch (thread, scalar clock) plus the accessed byte range and the
+// accessor's innermost critical section, if any (for the ILU / non-ILU
+// split of Table 6). Races older than the ring depth can be missed, like
+// TSan's 4-slot shadow cells can; the depth is configurable. The ring (or,
+// in Exact mode, the object's granule map) hangs off the object itself,
+// in alloc.Object.DetectorState, as thread clocks hang off sim.Thread: the
 // first access creates it and the free drops it.
+//
+// A shadow entry is a flat, pointer-free 40 bytes: the access site is an
+// index into the detector's interned label table, and the section is its
+// sim.CriticalSection ID, turned back into labels only when a race is
+// reported. Rings and granules therefore hold no pointers: the garbage
+// collector never scans them, and storing an entry needs no write
+// barrier.
 package hb
 
 import (
@@ -58,17 +65,6 @@ func (v VC) clone() VC {
 	return out
 }
 
-// epoch is a scalar timestamp of one thread, the FastTrack-style compact
-// representation of "this access happened at clock c on thread tid".
-type epoch struct {
-	tid   int
-	clock uint64
-}
-
-// happensBefore reports whether the epoch is ordered before a thread whose
-// current vector clock is v.
-func (e epoch) happensBefore(v VC) bool { return e.clock <= v.get(e.tid) }
-
 // Options configure the detector.
 type Options struct {
 	// ShadowDepth is the number of recent accesses remembered per
@@ -89,6 +85,15 @@ type Detector struct {
 	eng   *sim.Engine
 	races []sim.Race
 	seen  map[dedupeKey]struct{}
+
+	// sites interns access-site labels for shadow entries: siteIdx maps
+	// a label to its index in sites, and lastSite/lastIdx cache the most
+	// recent lookup, which a run of accesses from one site hits without
+	// hashing. Index 0 is the empty label, so the cache starts valid.
+	sites    []string
+	siteIdx  map[string]uint32
+	lastSite string
+	lastIdx  uint32
 }
 
 // granule is the exact-mode shadow state of one 8-byte unit: a four-slot
@@ -102,7 +107,7 @@ type dedupeKey struct {
 	obj      alloc.ObjectID
 	lo       uint64
 	kind     mpk.AccessKind
-	tid, oid int
+	tid, oid int32
 }
 
 // shadow is the per-object access history ring, kept in the object's
@@ -112,15 +117,24 @@ type shadow struct {
 	next   int
 }
 
+// accessInfo is one shadow entry. clock and tid form the FastTrack-style
+// epoch, the compact "this access happened at clock c on thread tid";
+// they sit flat in the entry because a nested struct's padding would grow
+// it to 48 bytes. TestShadowEntryLayout pins the size and the absence of
+// pointers.
 type accessInfo struct {
-	valid   bool
-	ep      epoch
+	clock   uint64
 	lo, hi  uint64
+	tid     int32
+	site    uint32 // index into Detector.sites
+	section int32  // sim.CriticalSection.ID; 0 outside any section
 	kind    mpk.AccessKind
-	inCS    bool
-	site    string
-	section string
+	valid   bool
 }
+
+// happensBefore reports whether the entry's epoch is ordered before a
+// thread whose current vector clock is v.
+func (p *accessInfo) happensBefore(v VC) bool { return p.clock <= v.get(int(p.tid)) }
 
 // threadClock is the per-thread vector clock state.
 type threadClock struct {
@@ -138,8 +152,10 @@ func New(opts Options) *Detector {
 		opts.ShadowDepth = 8
 	}
 	return &Detector{
-		opts: opts,
-		seen: make(map[dedupeKey]struct{}),
+		opts:    opts,
+		seen:    make(map[dedupeKey]struct{}),
+		sites:   []string{""},
+		siteIdx: map[string]uint32{"": 0},
 	}
 }
 
@@ -240,20 +256,10 @@ func (d *Detector) OnAccess(a *sim.Access) cycles.Duration {
 		sh = &shadow{recent: make([]accessInfo, d.opts.ShadowDepth)}
 		a.Object.DetectorState = sh
 	}
-	off := a.Offset()
-	cur := accessInfo{
-		valid:   true,
-		ep:      epoch{tid: t.ID(), clock: tc.vc.get(t.ID())},
-		lo:      off,
-		hi:      off + a.Size,
-		kind:    a.Kind,
-		inCS:    t.InCriticalSection(),
-		site:    a.Site,
-		section: sectionLabel(t),
-	}
+	cur := d.entry(a, tc)
 	for i := range sh.recent {
 		prev := &sh.recent[i]
-		if !prev.valid || prev.ep.tid == t.ID() {
+		if !prev.valid || prev.tid == cur.tid {
 			continue
 		}
 		if prev.hi <= cur.lo || cur.hi <= prev.lo {
@@ -262,25 +268,62 @@ func (d *Detector) OnAccess(a *sim.Access) cycles.Duration {
 		if prev.kind != mpk.Write && cur.kind != mpk.Write {
 			continue // read-read
 		}
-		if prev.ep.happensBefore(tc.vc) {
+		if prev.happensBefore(tc.vc) {
 			continue // ordered
 		}
-		d.report(a, prev, cur)
+		d.report(a, prev, &cur)
 	}
 	sh.recent[sh.next] = cur
 	sh.next = (sh.next + 1) % len(sh.recent)
 	return cycles.Duration(a.Units()) * cycles.TSanAccess
 }
 
-func sectionLabel(t *sim.Thread) string {
+// entry builds the shadow entry for access a by a thread whose clock
+// state is tc.
+func (d *Detector) entry(a *sim.Access, tc *threadClock) accessInfo {
+	t := a.Thread
+	var section int32
 	if cs := t.CurrentSection(); cs != nil {
-		return cs.Site
+		section = int32(cs.ID)
 	}
-	return "<no section>"
+	off := a.Offset()
+	return accessInfo{
+		clock:   tc.vc.get(t.ID()),
+		lo:      off,
+		hi:      off + a.Size,
+		tid:     int32(t.ID()),
+		site:    d.siteIndex(a.Site),
+		section: section,
+		kind:    a.Kind,
+		valid:   true,
+	}
 }
 
-func (d *Detector) report(a *sim.Access, prev *accessInfo, cur accessInfo) {
-	key := dedupeKey{obj: a.Object.ID, lo: cur.lo, kind: cur.kind, tid: cur.ep.tid, oid: prev.ep.tid}
+// siteIndex interns an access-site label.
+func (d *Detector) siteIndex(site string) uint32 {
+	if site == d.lastSite {
+		return d.lastIdx
+	}
+	idx, ok := d.siteIdx[site]
+	if !ok {
+		idx = uint32(len(d.sites))
+		d.sites = append(d.sites, site)
+		d.siteIdx[site] = idx
+	}
+	d.lastSite, d.lastIdx = site, idx
+	return idx
+}
+
+// sectionLabel names the critical section an entry recorded.
+func (d *Detector) sectionLabel(id int32) string {
+	if id == 0 {
+		return "<no section>"
+	}
+	return d.eng.Sections()[id-1].Site
+}
+
+func (d *Detector) report(a *sim.Access, prev, cur *accessInfo) {
+	key := dedupeKey{obj: a.Object.ID, lo: cur.lo, kind: cur.kind, tid: cur.tid, oid: prev.tid}
 	if _, dup := d.seen[key]; dup {
 		return
 	}
@@ -290,13 +333,13 @@ func (d *Detector) report(a *sim.Access, prev *accessInfo, cur accessInfo) {
 		Object:       a.Object,
 		Offset:       cur.lo,
 		Kind:         cur.kind,
-		Thread:       cur.ep.tid,
-		Site:         cur.site,
-		Section:      cur.section,
-		OtherThread:  prev.ep.tid,
-		OtherSite:    prev.site,
-		OtherSection: prev.section,
-		ILU:          prev.inCS || cur.inCS,
+		Thread:       int(cur.tid),
+		Site:         d.sites[cur.site],
+		Section:      d.sectionLabel(cur.section),
+		OtherThread:  int(prev.tid),
+		OtherSite:    d.sites[prev.site],
+		OtherSection: d.sectionLabel(prev.section),
+		ILU:          prev.section != 0 || cur.section != 0,
 		Time:         a.Thread.Now(),
 	}
 	r.Provenance = a.Thread.Engine().BuildProvenance(&r)
@@ -314,18 +357,8 @@ func (d *Detector) onAccessExact(a *sim.Access) cycles.Duration {
 		gm = make(map[uint64]*granule)
 		a.Object.DetectorState = gm
 	}
-	off := a.Offset()
-	cur := accessInfo{
-		valid:   true,
-		ep:      epoch{tid: t.ID(), clock: tc.vc.get(t.ID())},
-		lo:      off,
-		hi:      off + a.Size,
-		kind:    a.Kind,
-		inCS:    t.InCriticalSection(),
-		site:    a.Site,
-		section: sectionLabel(t),
-	}
-	for g := off / 8; g <= (off+a.Size-1)/8; g++ {
+	cur := d.entry(a, tc)
+	for g := cur.lo / 8; g <= (cur.hi-1)/8; g++ {
 		gs := gm[g]
 		if gs == nil {
 			gs = &granule{}
@@ -333,16 +366,16 @@ func (d *Detector) onAccessExact(a *sim.Access) cycles.Duration {
 		}
 		for i := range gs.cells {
 			prev := &gs.cells[i]
-			if !prev.valid || prev.ep.tid == t.ID() {
+			if !prev.valid || prev.tid == cur.tid {
 				continue
 			}
 			if prev.kind != mpk.Write && cur.kind != mpk.Write {
 				continue
 			}
-			if prev.ep.happensBefore(tc.vc) {
+			if prev.happensBefore(tc.vc) {
 				continue
 			}
-			d.report(a, prev, cur)
+			d.report(a, prev, &cur)
 		}
 		gs.cells[gs.next] = cur
 		gs.next = (gs.next + 1) % len(gs.cells)

@@ -2,7 +2,9 @@ package hb
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"kard/internal/alloc"
 	"kard/internal/sim"
@@ -40,13 +42,13 @@ func TestVCJoinAndGet(t *testing.T) {
 func TestEpochHappensBefore(t *testing.T) {
 	var v VC
 	v.set(1, 5)
-	if !(epoch{tid: 1, clock: 5}).happensBefore(v) {
+	if !(&accessInfo{tid: 1, clock: 5}).happensBefore(v) {
 		t.Error("equal clock is ordered")
 	}
-	if (epoch{tid: 1, clock: 6}).happensBefore(v) {
+	if (&accessInfo{tid: 1, clock: 6}).happensBefore(v) {
 		t.Error("later epoch is not ordered")
 	}
-	if (epoch{tid: 2, clock: 1}).happensBefore(v) {
+	if (&accessInfo{tid: 2, clock: 1}).happensBefore(v) {
 		t.Error("unseen thread epoch is not ordered")
 	}
 }
@@ -371,5 +373,91 @@ func TestExactModeDropsFreedObjects(t *testing.T) {
 	}
 	if o.DetectorState != nil {
 		t.Errorf("exact shadow state = %T after free, want nil", o.DetectorState)
+	}
+}
+
+// TestShadowEntryLayout pins the shadow entry flat and small: no field
+// may hold a pointer, so rings and granules need no GC scan and storing
+// an entry needs no write barrier, and the entry stays within 40 bytes
+// (a ring of eight within 320).
+func TestShadowEntryLayout(t *testing.T) {
+	typ := reflect.TypeOf(accessInfo{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); hasPointers(f.Type) {
+			t.Errorf("accessInfo.%s (%s) holds a pointer", f.Name, f.Type)
+		}
+	}
+	if got := unsafe.Sizeof(accessInfo{}); got > 40 {
+		t.Errorf("sizeof(accessInfo) = %d, want at most 40", got)
+	}
+}
+
+// hasPointers reports whether a value of type t holds any pointer the
+// garbage collector must scan.
+func hasPointers(t reflect.Type) bool {
+	switch k := t.Kind(); {
+	case k >= reflect.Bool && k <= reflect.Complex128:
+		return false
+	case k == reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case k == reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
+}
+
+// TestRaceLabels pins the labels a report resolves from a shadow entry's
+// interned site and section ID, in ring and Exact mode: each side names
+// its access site and its innermost section, and a side that held no
+// lock reads "<no section>".
+func TestRaceLabels(t *testing.T) {
+	type labels struct{ site, section, otherSite, otherSection string }
+	want := map[string]labels{
+		"a": {"a-bare", "<no section>", "a-locked", "sec-a"},
+		"b": {"b-locked", "sec-b", "b-bare", "<no section>"},
+	}
+	for _, exact := range []bool{false, true} {
+		det := New(Options{Exact: exact})
+		e := sim.New(sim.Config{Seed: 1}, det)
+		ma, mb := e.NewMutex("ma"), e.NewMutex("mb")
+		bar := e.NewBarrier(2)
+		st, err := e.Run(func(m *sim.Thread) {
+			oa, ob := m.Malloc(64, "a"), m.Malloc(64, "b")
+			w1 := m.Go("w1", func(w *sim.Thread) {
+				w.Barrier(bar)
+				w.Lock(ma, "sec-a")
+				w.Write(oa, 0, 8, "a-locked")
+				w.Unlock(ma)
+				w.Write(ob, 0, 8, "b-bare")
+			})
+			w2 := m.Go("w2", func(w *sim.Thread) {
+				w.Barrier(bar)
+				w.Compute(100000) // after both of w1's writes
+				w.Write(oa, 0, 8, "a-bare")
+				w.Lock(mb, "sec-b")
+				w.Write(ob, 0, 8, "b-locked")
+				w.Unlock(mb)
+			})
+			m.Join(w1)
+			m.Join(w2)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]labels{}
+		for _, r := range st.Races {
+			got[r.Object.Site] = labels{r.Site, r.Section, r.OtherSite, r.OtherSection}
+			if !r.ILU {
+				t.Errorf("exact=%v: race on %q not ILU, though one side held a lock", exact, r.Object.Site)
+			}
+		}
+		if len(st.Races) != len(want) || !reflect.DeepEqual(got, want) {
+			t.Errorf("exact=%v: %d races with labels %+v, want %+v", exact, len(st.Races), got, want)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"kard/internal/alloc"
 	"kard/internal/cycles"
@@ -375,6 +376,77 @@ func TestBufferFullDrains(t *testing.T) {
 	}
 	if e.BatchDrains() == 0 {
 		t.Error("no drain recorded")
+	}
+}
+
+// TestComputeBuffered: under the default mode a Compute joins the batch
+// like an access. It adds one entry and leaves Now where it was; the next
+// Flush or sync point charges it, and the clock then equals the serial
+// run's. A body of nothing but computes still drains each time the buffer
+// fills, and ends with the serial run's statistics; serial mode parks on
+// every Compute and never drains.
+func TestComputeBuffered(t *testing.T) {
+	program := func(batched bool, clocks *[2]cycles.Time) func(e *Engine, m *Thread) {
+		return func(e *Engine, m *Thread) {
+			mu := e.NewMutex("mu")
+			start := m.Now()
+			m.Compute(100)
+			if batched {
+				if n := m.BufferedAccesses(); n != 1 {
+					t.Errorf("BufferedAccesses after Compute = %d, want 1", n)
+				}
+				if now := m.Now(); now != start {
+					t.Errorf("Now = %d before the drain, want %d", now, start)
+				}
+			}
+			m.Flush()
+			clocks[0] = m.Now()
+			m.Compute(40)
+			m.Compute(2)
+			if now := m.Now(); batched && now != clocks[0] {
+				t.Errorf("Now = %d with two computes buffered, want %d", now, clocks[0])
+			}
+			m.Lock(mu, "s") // a sync point drains
+			if n := m.BufferedAccesses(); n != 0 {
+				t.Errorf("BufferedAccesses after Lock = %d, want 0", n)
+			}
+			clocks[1] = m.Now()
+			m.Unlock(mu)
+		}
+	}
+	var want, got [2]cycles.Time
+	runMode(t, ExecModeSerial, 1, program(false, &want))
+	runMode(t, "", 1, program(true, &got))
+	if got != want {
+		t.Errorf("clocks after the drains = %v, want the serial run's %v", got, want)
+	}
+
+	computeOnly := func(e *Engine, m *Thread) {
+		for i := 0; i < 3*DefaultBatchSize; i++ {
+			m.Compute(1)
+		}
+	}
+	bst, eb := runMode(t, "", 1, computeOnly)
+	if got := eb.BatchDrains(); got != 3 {
+		t.Errorf("compute-only body drained %d batches, want 3", got)
+	}
+	sst, es := runMode(t, ExecModeSerial, 1, computeOnly)
+	if got := es.BatchDrains(); got != 0 {
+		t.Errorf("serial mode drained %d batches", got)
+	}
+	bjs, _ := json.Marshal(bst)
+	sjs, _ := json.Marshal(sst)
+	if string(bjs) != string(sjs) {
+		t.Errorf("compute-only stats diverge:\nserial:  %s\nbatched: %s", sjs, bjs)
+	}
+}
+
+// TestBatchEntrySize pins a batch slot at 72 bytes: the compute cost
+// rides in size and the entry tag in kind's padding, and a larger entry
+// costs measurably more to fill and replay.
+func TestBatchEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(batchEntry{}); got != 72 {
+		t.Errorf("sizeof(batchEntry) = %d, want 72", got)
 	}
 }
 

@@ -63,14 +63,14 @@ func (e *Engine) executeCond(t *Thread, o op) {
 		}
 		// Release the mutex exactly as Unlock does, remembering the
 		// section site to re-enter on wakeup.
-		entry := t.popSection(m)
-		if entry == nil {
+		cs := t.popSection(m)
+		if cs == nil {
 			e.wake(t, opResult{err: fmt.Errorf("sim: thread %d has no section for %s", t.id, m)})
 			return
 		}
-		t.condSite = entry.Section.Site
-		t.charge(e.detector.CSExit(t, entry.Section, m))
-		e.leaveSection(entry.Section)
+		t.condSite = cs.Site
+		t.charge(e.detector.CSExit(t, cs, m))
+		e.leaveSection(cs)
 		delete(t.held, m)
 		m.lastRelease = t.clock
 		m.holder = nil

@@ -817,14 +817,14 @@ func (e *Engine) execute(t *Thread) {
 			e.wake(t, opResult{err: fmt.Errorf("sim: thread %d unlocking %s it does not hold", t.id, m)})
 			return
 		}
-		entry := t.popSection(m)
-		if entry == nil {
+		cs := t.popSection(m)
+		if cs == nil {
 			e.wake(t, opResult{err: fmt.Errorf("sim: thread %d has no section for %s", t.id, m)})
 			return
 		}
-		t.charge(e.detector.CSExit(t, entry.Section, m))
+		t.charge(e.detector.CSExit(t, cs, m))
 		t.charge(cycles.LockUncontended)
-		e.leaveSection(entry.Section)
+		e.leaveSection(cs)
 		e.noteSync("unlock", "mutex", t.id, -1, m.name, t.clock)
 		delete(t.held, m)
 		m.lastRelease = t.clock
@@ -929,7 +929,7 @@ func (e *Engine) grantLock(t *Thread, m *Mutex, site string) {
 	cs := e.section(site)
 	cs.entries++
 	e.totalCSEntries++
-	t.Sections = append(t.Sections, &SectionEntry{Section: cs, Mutex: m, Enter: t.clock})
+	t.Sections = append(t.Sections, SectionEntry{Section: cs, Mutex: m, Enter: t.clock})
 	e.enterSection(cs)
 	e.noteSync("lock", "site", t.id, -1, site, t.clock)
 	t.charge(e.detector.CSEnter(t, cs, m))
@@ -949,14 +949,14 @@ func (e *Engine) leaveSection(cs *CriticalSection) {
 	}
 }
 
-// popSection removes and returns the innermost section entry of t whose
-// mutex is m, or nil.
-func (t *Thread) popSection(m *Mutex) *SectionEntry {
+// popSection removes the innermost section entry of t whose mutex is m
+// and returns its section, or nil.
+func (t *Thread) popSection(m *Mutex) *CriticalSection {
 	for i := len(t.Sections) - 1; i >= 0; i-- {
 		if t.Sections[i].Mutex == m {
-			entry := t.Sections[i]
+			cs := t.Sections[i].Section
 			t.Sections = append(t.Sections[:i], t.Sections[i+1:]...)
-			return entry
+			return cs
 		}
 	}
 	return nil

@@ -138,19 +138,19 @@ func (e *Engine) enterRWSection(t *Thread, rw *RWMutex, site string) {
 	cs := e.section(site)
 	cs.entries++
 	e.totalCSEntries++
-	t.Sections = append(t.Sections, &SectionEntry{Section: cs, Mutex: rw.inner, Enter: t.clock})
+	t.Sections = append(t.Sections, SectionEntry{Section: cs, Mutex: rw.inner, Enter: t.clock})
 	e.enterSection(cs)
 	t.charge(e.detector.CSEnter(t, cs, rw.inner))
 }
 
 func (e *Engine) exitRWSection(t *Thread, rw *RWMutex) {
-	entry := t.popSection(rw.inner)
-	if entry == nil {
+	cs := t.popSection(rw.inner)
+	if cs == nil {
 		panic(fmt.Sprintf("sim: thread %d has no section for %s", t.id, rw))
 	}
-	t.charge(e.detector.CSExit(t, entry.Section, rw.inner))
+	t.charge(e.detector.CSExit(t, cs, rw.inner))
 	t.charge(cycles.LockUncontended)
-	e.leaveSection(entry.Section)
+	e.leaveSection(cs)
 }
 
 // wakeRW admits the next waiters after a release: the min-clock waiting

@@ -10,10 +10,28 @@ import (
 )
 
 // BenchmarkOpDispatch measures raw engine throughput: one compute
-// operation through the park/pick/resume scheduler.
+// operation through the park/pick/resume scheduler. A Compute buffers
+// under the default mode, so each iteration flushes it to park once.
 func BenchmarkOpDispatch(b *testing.B) {
 	e := New(Config{}, nil)
 	if _, err := e.Run(func(m *Thread) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.Compute(1)
+			m.Flush()
+		}
+	}); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkComputeBuffered measures a Compute as workloads issue it: one
+// batch entry, with a park per 128 of them when the buffer fills. It must
+// not allocate.
+func BenchmarkComputeBuffered(b *testing.B) {
+	e := New(Config{}, nil)
+	if _, err := e.Run(func(m *Thread) {
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m.Compute(1)

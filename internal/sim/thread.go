@@ -10,7 +10,8 @@ import (
 )
 
 // Thread is one simulated program thread. The workload body runs in its
-// own goroutine, but every operation parks at the scheduler, and only the
+// own goroutine, but every operation executes at the scheduler (accesses
+// and computes in batches, DESIGN.md §12), and only the
 // goroutine holding the engine's baton runs — body code or the scheduling
 // loop — so at most one thread executes Go code at a time: runs are
 // deterministic and body code may touch shared test/workload state
@@ -34,7 +35,9 @@ type Thread struct {
 
 	// Sections is the thread's stack of active critical sections, the
 	// innermost last. The engine maintains it; detectors read it.
-	Sections []*SectionEntry
+	// Entries are values: entering a section allocates nothing once the
+	// stack has grown to its depth.
+	Sections []SectionEntry
 
 	// Detector scratch: an arbitrary per-thread state pointer a
 	// detector may hang its thread-local data on.
@@ -57,8 +60,8 @@ type Thread struct {
 	tlbHits   uint64
 	tlbMisses uint64
 
-	// Batched execution (DESIGN.md §12): the fixed-capacity access
-	// buffer Read/Write/Sweep append to and the engine-side replay
+	// Batched execution (DESIGN.md §12): the fixed-capacity buffer
+	// Read/Write/Sweep/Compute append to and the engine-side replay
 	// cursor.
 	batch    []batchEntry
 	batchPos int
@@ -78,7 +81,11 @@ func (t *Thread) ID() int { return t.id }
 // Name returns the thread's debugging name.
 func (t *Thread) Name() string { return t.name }
 
-// Now returns the thread's current virtual clock.
+// Now returns the thread's current virtual clock. Under batched
+// execution (the default) it excludes buffered work: accesses, sweeps
+// and computes the body has submitted but the engine has not yet
+// replayed. The next operation that parks, or Flush, brings it up to
+// date; under ExecModeSerial it is always current.
 func (t *Thread) Now() cycles.Time { return t.clock }
 
 // Engine returns the engine the thread runs on.
@@ -111,7 +118,17 @@ func (t *Thread) charge(d cycles.Duration) { t.clock = t.clock.Add(d) }
 // --- workload-facing operations -------------------------------------------
 
 // Compute advances the thread's clock by d cycles of local computation.
+// Under batched execution it joins the thread's batch like an access and
+// is charged when the batch replays: it returns nothing the body could
+// observe, so it need not park, and Now does not include it until the
+// next drain. ExecModeSerial parks on every Compute.
 func (t *Thread) Compute(d cycles.Duration) {
+	if t.eng.batching {
+		ent := t.nextEntry()
+		ent.tag, ent.size = entryCompute, uint64(d)
+		t.entryDone()
+		return
+	}
 	t.submit(op{kind: opCompute, cost: d})
 }
 
@@ -150,7 +167,9 @@ func (t *Thread) access(o *alloc.Object, off, size uint64, kind mpk.AccessKind, 
 			t.id, off, off+size, o, site))
 	}
 	if t.eng.batching {
-		t.bufferAccess(batchEntry{obj: o, off: off, size: size, kind: kind, site: site})
+		ent := t.nextEntry()
+		ent.tag, ent.obj, ent.off, ent.size, ent.kind, ent.site = entryAccess, o, off, size, kind, site
+		t.entryDone()
 		return
 	}
 	t.submit(op{kind: opAccess, obj: o, off: off, size: size, access: kind, site: site})
@@ -172,7 +191,9 @@ func (t *Thread) Sweep(objs []*alloc.Object, bytesEach uint64, kind mpk.AccessKi
 		bytesEach = 8
 	}
 	if t.eng.batching {
-		t.bufferAccess(batchEntry{objs: objs, size: bytesEach, kind: kind, site: site})
+		ent := t.nextEntry()
+		ent.tag, ent.objs, ent.size, ent.kind, ent.site = entrySweep, objs, bytesEach, kind, site
+		t.entryDone()
 		return
 	}
 	t.submit(op{kind: opSweep, objs: objs, size: bytesEach, access: kind, site: site})
@@ -242,7 +263,7 @@ func (t *Thread) LoadBytes(o *alloc.Object, off uint64, b []byte) {
 
 // submit parks the thread with its next operation and returns once the
 // engine has executed it — and, under batched execution, once any
-// buffered accesses queued before it have replayed. The operation count
+// buffered entries queued before it have replayed. The operation count
 // is charged engine-side at activation (Engine.activate), not here, so
 // batched entries count at the moment they become pick-eligible, exactly
 // as their scalar submissions would.
