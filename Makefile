@@ -51,11 +51,11 @@ bench-gate:
 	$(GO) run ./cmd/benchgate -baseline BENCH_baseline.json
 
 # The batched-execution benchmarks (DESIGN.md §12) on their own: the
-# steady-state access loops (plain, metrics, traced), 4-thread batched
-# replay, the sync-point drain stress, Sweep, and buffered Compute — all
-# must report 0 allocs/op.
+# steady-state access loops (plain, metrics, traced), the 32-page access
+# run, 4-thread batched replay, the sync-point drain stress, Sweep, and
+# buffered Compute — all must report 0 allocs/op.
 bench-parallel:
-	$(GO) test -run '^$$' -bench 'AccessSteadyState|AccessBatchedParallel|ReconcileSyncPoint|Sweep|ComputeBuffered' \
+	$(GO) test -run '^$$' -bench 'AccessSteadyState|AccessMultiPage|AccessBatchedParallel|ReconcileSyncPoint|Sweep|ComputeBuffered' \
 		-benchmem -count 3 ./internal/sim/
 
 # Fault-injection soak: race verdicts must be identical with and without

@@ -60,6 +60,7 @@ var gated = []struct {
 	{name: "AccessSteadyState", maxNS: 160},
 	{name: "AccessSteadyStateMetrics", maxNS: 200},
 	{name: "AccessSteadyStateTraced", maxNS: 200},
+	{name: "AccessMultiPage", maxNS: 600, zeroAlloc: true}, // one 32-page run
 	{name: "OpDispatch", maxNS: 250},
 	{name: "ComputeBuffered", maxNS: 60, zeroAlloc: true}, // a batch entry; a park per 128
 	{name: "LockUnlock", maxNS: 1000},

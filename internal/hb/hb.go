@@ -9,10 +9,10 @@
 // detector keeps a small ring of recent access summaries per object, each
 // an epoch (thread, scalar clock) plus the accessed byte range and the
 // accessor's innermost critical section, if any (for the ILU / non-ILU
-// split of Table 6). Races older than the ring depth can be missed, like
-// TSan's 4-slot shadow cells can; the depth is configurable. The ring (or,
-// in Exact mode, the object's granule map) hangs off the object itself,
-// in alloc.Object.DetectorState, as thread clocks hang off sim.Thread: the
+// split of Table 6). Races older than the ring's eight entries can be
+// missed, like TSan's 4-slot shadow cells can. The ring (or, in Exact
+// mode, the object's granule map) hangs off the object itself, in
+// alloc.Object.DetectorState, as thread clocks hang off sim.Thread: the
 // first access creates it and the free drops it.
 //
 // A shadow entry is a flat, pointer-free 40 bytes: the access site is an
@@ -67,10 +67,6 @@ func (v VC) clone() VC {
 
 // Options configure the detector.
 type Options struct {
-	// ShadowDepth is the number of recent accesses remembered per
-	// object (default 8).
-	ShadowDepth int
-
 	// Exact switches to per-8-byte-granule shadow cells (four slots per
 	// granule, like real TSan's shadow words) instead of the per-object
 	// ring. Exact mode cannot miss a race to ring eviction but pays
@@ -110,10 +106,15 @@ type dedupeKey struct {
 	tid, oid int32
 }
 
+// shadowDepth is the number of recent accesses the ring remembers per
+// object, a power of two so the ring wraps by mask.
+const shadowDepth = 8
+
 // shadow is the per-object access history ring, kept in the object's
-// DetectorState.
+// DetectorState. The ring is held inline, so a tracked object costs one
+// allocation and an access reaches its entries through one pointer.
 type shadow struct {
-	recent []accessInfo
+	recent [shadowDepth]accessInfo
 	next   int
 }
 
@@ -148,9 +149,6 @@ const shadowMetadataBytes = 256
 
 // New creates a happens-before detector.
 func New(opts Options) *Detector {
-	if opts.ShadowDepth <= 0 {
-		opts.ShadowDepth = 8
-	}
 	return &Detector{
 		opts:    opts,
 		seen:    make(map[dedupeKey]struct{}),
@@ -253,7 +251,7 @@ func (d *Detector) OnAccess(a *sim.Access) cycles.Duration {
 	tc := clockOf(t)
 	sh, ok := a.Object.DetectorState.(*shadow)
 	if !ok {
-		sh = &shadow{recent: make([]accessInfo, d.opts.ShadowDepth)}
+		sh = &shadow{}
 		a.Object.DetectorState = sh
 	}
 	cur := d.entry(a, tc)
@@ -274,7 +272,7 @@ func (d *Detector) OnAccess(a *sim.Access) cycles.Duration {
 		d.report(a, prev, &cur)
 	}
 	sh.recent[sh.next] = cur
-	sh.next = (sh.next + 1) % len(sh.recent)
+	sh.next = (sh.next + 1) & (shadowDepth - 1)
 	return cycles.Duration(a.Units()) * cycles.TSanAccess
 }
 

@@ -66,6 +66,9 @@ type radixLeaf struct {
 	ptes    [radixFan]PTE
 }
 
+// has reports whether the page at index i of the leaf is mapped.
+func (l *radixLeaf) has(i Page) bool { return l.present[i>>6]&(1<<(i&63)) != 0 }
+
 func newRadixTable() *radixTable { return &radixTable{} }
 
 func (t *radixTable) lookup(p Page) *PTE {
@@ -86,13 +89,28 @@ func (t *radixTable) lookup(p Page) *PTE {
 	}
 	t.depths[3]++
 	i := p & radixMask
-	if leaf.present[i>>6]&(1<<(i&63)) == 0 {
+	if !leaf.has(i) {
 		return nil
 	}
 	return &leaf.ptes[i]
 }
 
 func (t *radixTable) peek(p Page) *PTE {
+	leaf := t.leafOf(p)
+	if leaf == nil {
+		return nil
+	}
+	i := p & radixMask
+	if !leaf.has(i) {
+		return nil
+	}
+	return &leaf.ptes[i]
+}
+
+// leafOf returns the leaf covering p, or nil, without walk-depth
+// accounting. AddressSpace.TranslateRange walks a run of pages inside
+// the leaf it returns.
+func (t *radixTable) leafOf(p Page) *radixLeaf {
 	l2 := t.root[p>>(3*radixBits)]
 	if l2 == nil {
 		return nil
@@ -101,18 +119,11 @@ func (t *radixTable) peek(p Page) *PTE {
 	if l3 == nil {
 		return nil
 	}
-	leaf := l3.kids[(p>>radixBits)&radixMask]
-	if leaf == nil {
-		return nil
-	}
-	i := p & radixMask
-	if leaf.present[i>>6]&(1<<(i&63)) == 0 {
-		return nil
-	}
-	return &leaf.ptes[i]
+	return l3.kids[(p>>radixBits)&radixMask]
 }
 
-func (t *radixTable) insert(p Page, pte PTE) *PTE {
+// leafFor returns the leaf covering p, allocating the nodes on its path.
+func (t *radixTable) leafFor(p Page) *radixLeaf {
 	l2 := t.root[p>>(3*radixBits)]
 	if l2 == nil {
 		l2 = new(radixL2)
@@ -128,8 +139,13 @@ func (t *radixTable) insert(p Page, pte PTE) *PTE {
 		leaf = new(radixLeaf)
 		l3.kids[(p>>radixBits)&radixMask] = leaf
 	}
+	return leaf
+}
+
+func (t *radixTable) insert(p Page, pte PTE) *PTE {
+	leaf := t.leafFor(p)
 	i := p & radixMask
-	if leaf.present[i>>6]&(1<<(i&63)) == 0 {
+	if !leaf.has(i) {
 		leaf.present[i>>6] |= 1 << (i & 63)
 		t.n++
 	}
@@ -137,21 +153,41 @@ func (t *radixTable) insert(p Page, pte PTE) *PTE {
 	return &leaf.ptes[i]
 }
 
+// mapRun maps the n fresh pages from base as anonymous pages tagged with
+// pkey, leaf by leaf: it sets the presence bits a word at a time and the
+// key in place. The pages must be fresh from the bump pointer, whose
+// entries are zero (remove zeroes the entry of an unmapped page), so a
+// mapped anonymous page differs from them only in its presence bit and
+// key, and no entry is copied.
+func (t *radixTable) mapRun(base Page, n uint64, pkey uint8) {
+	for n > 0 {
+		leaf := t.leafFor(base)
+		lo := uint64(base & radixMask)
+		hi := min(lo+n, radixFan)
+		for i := lo; i < hi; {
+			b := i & 63
+			k := min(64-b, hi-i)
+			leaf.present[i>>6] |= (^uint64(0) >> (64 - k)) << b
+			i += k
+		}
+		if pkey != 0 {
+			for i := lo; i < hi; i++ {
+				leaf.ptes[i].Pkey = pkey
+			}
+		}
+		t.n += int(hi - lo)
+		base += Page(hi - lo)
+		n -= hi - lo
+	}
+}
+
 func (t *radixTable) remove(p Page) {
-	l2 := t.root[p>>(3*radixBits)]
-	if l2 == nil {
-		return
-	}
-	l3 := l2.kids[(p>>(2*radixBits))&radixMask]
-	if l3 == nil {
-		return
-	}
-	leaf := l3.kids[(p>>radixBits)&radixMask]
+	leaf := t.leafOf(p)
 	if leaf == nil {
 		return
 	}
 	i := p & radixMask
-	if leaf.present[i>>6]&(1<<(i&63)) == 0 {
+	if !leaf.has(i) {
 		return
 	}
 	// An emptied leaf stays linked, like the interior nodes: the bump

@@ -10,7 +10,9 @@ import (
 // The differential test: two address spaces — one over the production
 // radix page table and PTE-linked CLOCK dTLB, one over the map-backed
 // reference table and the page-keyed reference CLOCK (refTLB) — execute
-// identical randomized mmap/munmap/protect/translate/store/load sequences.
+// identical randomized mmap/munmap/protect/translate/range-translate/
+// store/load sequences. A range translation walks the production space
+// leaf by leaf and the reference page by page through Translate.
 // Every observable must match: operation results, each translation's miss
 // and minor-fault outcome, TLB hit/miss totals and the cached pages after
 // every step (with the production TLB's slot ↔ PTE links checked too), and
@@ -135,7 +137,7 @@ func (d *diffPair) step(t *testing.T, rng diffSource) string {
 		}
 		return fmt.Sprintf("protect(%s+%d, %d, %d)", m.base, start, size, pkey)
 
-	case op < 85: // translate (mapped or unmapped)
+	case op < 70: // translate (mapped or unmapped)
 		var addr Addr
 		if len(d.mappings) > 0 && rng.Intn(8) != 0 {
 			m := d.mappings[rng.Intn(len(d.mappings))]
@@ -153,6 +155,25 @@ func (d *diffPair) step(t *testing.T, rng diffSource) string {
 			comparePTE(t, addr, p1, p2)
 		}
 		return fmt.Sprintf("translate(%s)", addr)
+
+	case op < 85: // translate a byte range as one page run
+		var addr Addr
+		var size uint64
+		if len(d.mappings) > 0 && rng.Intn(8) != 0 {
+			// Up to two pages past the mapping's end: a run may end
+			// at, or run into, an unmapped page.
+			m := d.mappings[rng.Intn(len(d.mappings))]
+			span := m.n * PageSize
+			start := uint64(rng.Intn(int(span)))
+			addr = m.base + Addr(start)
+			size = 1 + uint64(rng.Intn(int(span-start+2*PageSize)))
+		} else {
+			// Cleared top bit: the range cannot wrap the address space.
+			addr = Addr(rng.Uint64() >> 1)
+			size = 1 + uint64(rng.Intn(4*PageSize))
+		}
+		d.compareRange(t, addr, size)
+		return fmt.Sprintf("translateRange(%s, %d)", addr, size)
 
 	default: // store/load round trip through the data channel
 		if len(d.mappings) == 0 {
@@ -181,6 +202,19 @@ func (d *diffPair) step(t *testing.T, rng diffSource) string {
 			t.Fatalf("Load(%s+%d) disagrees between tables", m.base, start)
 		}
 		return fmt.Sprintf("store/load(%s+%d, %d)", m.base, start, size)
+	}
+}
+
+// compareRange translates [addr, addr+size) in both spaces, as a page run
+// in the production space and page by page in the reference, and asserts
+// the same page, miss and minor-fault counts and the same error text.
+func (d *diffPair) compareRange(t *testing.T, addr Addr, size uint64) {
+	t.Helper()
+	n1, miss1, minor1, err1 := d.radix.TranslateRange(addr, size)
+	n2, miss2, minor2, err2 := d.ref.TranslateRange(addr, size)
+	if n1 != n2 || miss1 != miss2 || minor1 != minor2 || fmt.Sprint(err1) != fmt.Sprint(err2) {
+		t.Fatalf("TranslateRange(%s, %d): radix (pages=%d misses=%d minors=%d err=%v) vs ref (pages=%d misses=%d minors=%d err=%v)",
+			addr, size, n1, miss1, minor1, err1, n2, miss2, minor2, err2)
 	}
 }
 
@@ -376,16 +410,18 @@ func (s *fuzzSource) Read(p []byte) (int, error) {
 }
 
 // FuzzTLBDifferential runs the differential driver on operation sequences
-// decoded from fuzz input — mmap, munmap, protect, translate and store/load
-// — checking each step's results and the dTLBs after every step, and every
-// PTE's slot link at the end. The full-table comparisons of compareState
-// stay in TestPageTableDifferential: their walks cost about a millisecond
-// per input under coverage instrumentation, and the fuzzer spent whole
-// runs minimizing one input. Inputs are capped at 128 bytes, as the
-// allocator fuzz targets cap theirs, and a 4-entry TLB lets sequences that
-// short evict. The seed corpus in testdata/fuzz/FuzzTLBDifferential drives
-// CLOCK eviction, munmap of cached pages, and shared mappings with a
-// rolled-back partial mmap.
+// decoded from fuzz input — mmap, munmap, protect, translate, range
+// translate and store/load — checking each step's results and the dTLBs
+// after every step, and every PTE's slot link at the end. The full-table
+// comparisons of compareState stay in TestPageTableDifferential: their
+// walks cost about a millisecond per input under coverage
+// instrumentation, and the fuzzer spent whole runs minimizing one input.
+// Inputs are capped at 128 bytes, as the allocator fuzz targets cap
+// theirs, and a 4-entry TLB lets sequences that short evict. The seed
+// corpus in testdata/fuzz/FuzzTLBDifferential drives CLOCK eviction,
+// munmap of cached pages, shared mappings with a rolled-back partial
+// mmap, and range translations that evict within the run and stop at an
+// unmapped page.
 func FuzzTLBDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 128 {

@@ -50,7 +50,11 @@ func (p *PTE) Touched() bool { return p.touched }
 // operations, exactly as a single MMU serializes translations for the
 // modeled core.
 type AddressSpace struct {
-	pages  pageTable
+	pages pageTable
+	// radix is pages as the production radix table, nil over the
+	// map-backed test reference; with it, MmapAnon and TranslateRange
+	// work leaf by leaf instead of page by page through the interface.
+	radix  *radixTable
 	frames framePool
 	memfds []*Memfd
 	// tlb is the fast path when the default CLOCK model is active: the
@@ -107,6 +111,7 @@ func newAddressSpace(pt pageTable, tlb TLBModel) *AddressSpace {
 		pages:    pt,
 		nextPage: Page(256 << (20 - PageShift)), // 256 MiB
 	}
+	as.radix, _ = pt.(*radixTable)
 	if clock, ok := tlb.(*TLB); ok {
 		as.tlb = clock
 	} else {
@@ -169,13 +174,19 @@ func (as *AddressSpace) reserve(n uint64) Page {
 
 // MmapAnon maps n fresh virtual pages tagged with pkey, returning the base
 // address (mmap with MAP_PRIVATE|MAP_ANONYMOUS). Frames are charged on
-// first touch.
+// first touch. The radix table maps the run leaf by leaf (mapRun), so a
+// large mapping costs a bit-set per 64 pages rather than an insert per
+// page.
 func (as *AddressSpace) MmapAnon(n uint64, pkey uint8) (Addr, error) {
 	as.MmapCalls++
 	if err := as.inj.Fail(faultinject.SiteMmap); err != nil {
 		return 0, fmt.Errorf("mem: mmap of %d pages: %w", n, err)
 	}
 	base := as.reserve(n)
+	if as.radix != nil {
+		as.radix.mapRun(base, n, pkey)
+		return base.Base(), nil
+	}
 	for i := uint64(0); i < n; i++ {
 		as.pages.insert(base+Page(i), PTE{Pkey: pkey})
 	}
@@ -364,6 +375,110 @@ func (as *AddressSpace) translateSlow(addr Addr, p Page) (pte *PTE, miss, minor 
 	}
 	as.tlbInsert(p, pte)
 	return pte, true, minor, nil
+}
+
+// TranslateRange translates every page of [addr, addr+size) in ascending
+// order, with exactly the effects of calling Translate on each page — at
+// addr for the first page and at its base address for every later one:
+// the same dTLB hits, misses, used bits, MRU slot and evictions, the same
+// walk-depth counts, the same frame-pool and fault-injector calls in the
+// same order, and the same error. It returns how many pages translated
+// and how many of those missed the dTLB or took a minor fault; after an
+// error the counts cover only the pages before the failing one, which the
+// caller charges as it would have charged them page by page.
+//
+// Over the radix table with the CLOCK TLB, the run is walked leaf by
+// leaf: the MRU slot serves the first page as in Translate, one walk
+// finds each leaf, and a page whose entry is linked to a TLB slot is a
+// hit that costs a presence-bit test, the link, and the slot's used bit.
+// A miss still counts its full walk, as Translate's would. Any other
+// table or dTLB model translates page by page through Translate, which
+// is the reference the differential test holds the run walk to.
+func (as *AddressSpace) TranslateRange(addr Addr, size uint64) (pages, misses, minors uint64, err error) {
+	first, last := PageRange(addr, size)
+	rt, t := as.radix, as.tlb
+	if rt == nil || t == nil {
+		for p := first; ; p++ {
+			_, miss, minor, err := as.Translate(runAddr(addr, first, p))
+			if err != nil {
+				return pages, misses, minors, err
+			}
+			pages++
+			if miss {
+				misses++
+			}
+			if minor {
+				minors++
+			}
+			if p == last {
+				return pages, misses, minors, nil
+			}
+		}
+	}
+	p := first
+	if m := uint(t.mru); m < uint(len(t.slots)) {
+		// The MRU slot serves the first page without a walk, as it
+		// does in Translate: most accesses touch a single page again.
+		if s := &t.slots[m]; s.page == p && s.present {
+			t.hits++
+			s.used = true
+			if p == last {
+				return 1, 0, 0, nil
+			}
+			pages, p = 1, p+1
+		}
+	}
+	for ; ; p++ {
+		leaf := rt.leafOf(p)
+		if leaf == nil {
+			t.misses++
+			rt.lookup(p) // counts the failed walk's depth
+			return pages, misses, minors, fmt.Errorf("mem: access to unmapped address %s", runAddr(addr, first, p))
+		}
+		end := min(p|radixMask, last)
+		for ; ; p++ {
+			i := p & radixMask
+			if !leaf.has(i) {
+				t.misses++
+				rt.depths[3]++
+				return pages, misses, minors, fmt.Errorf("mem: access to unmapped address %s", runAddr(addr, first, p))
+			}
+			pte := &leaf.ptes[i]
+			if s := pte.tlb; s != 0 {
+				t.hits++
+				t.slots[s-1].used = true
+				t.mru = int(s - 1)
+			} else {
+				t.misses++
+				rt.depths[3]++
+				minor, err := as.touch(pte)
+				if err != nil {
+					return pages, misses, minors, fmt.Errorf("mem: faulting in %s: %w", runAddr(addr, first, p), err)
+				}
+				t.Insert(p, pte)
+				misses++
+				if minor {
+					minors++
+				}
+			}
+			pages++
+			if p == end {
+				break
+			}
+		}
+		if p == last {
+			return pages, misses, minors, nil
+		}
+	}
+}
+
+// runAddr is the address Translate sees for page p of a run that starts
+// at addr on page first.
+func runAddr(addr Addr, first, p Page) Addr {
+	if p == first {
+		return addr
+	}
+	return p.Base()
 }
 
 // Peek returns the page-table entry for addr without touching the TLB or

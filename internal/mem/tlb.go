@@ -122,12 +122,22 @@ func (t *TLB) Insert(p Page, pte *PTE) {
 			break
 		}
 		s.used = false
-		t.hand = (t.hand + 1) % t.capacity
+		t.advance()
 	}
 	t.slots[t.hand] = tlbSlot{page: p, pte: pte, used: true, present: true}
 	pte.tlb = int32(t.hand) + 1
 	t.mru = t.hand
-	t.hand = (t.hand + 1) % t.capacity
+	t.advance()
+}
+
+// advance moves the CLOCK hand to the next slot, wrapping with a compare:
+// a modulo by the capacity, which is not a constant, costs a division on
+// every step of the sweep.
+func (t *TLB) advance() {
+	t.hand++
+	if t.hand == t.capacity {
+		t.hand = 0
+	}
 }
 
 // Invalidate drops pte's translation (on munmap).

@@ -52,13 +52,15 @@ type Config struct {
 	// MaxFrames bounds the simulated physical frame pool (0 =
 	// unlimited); exhaustion surfaces as mem.ErrFrameExhausted.
 	MaxFrames uint64
-	// Metrics publishes per-access counters to the process-wide obs
-	// registry live (one atomic add per access) instead of only at run
-	// teardown. The detection service turns it on so a /metrics scrape
-	// sees in-flight work; batch evaluation leaves it off and loses
-	// nothing — the same totals are flushed when the run ends. The live
-	// path stays allocation-free (benchgate's AccessSteadyStateMetrics
-	// run enforces it).
+	// Metrics publishes the run's access units to the process-wide obs
+	// registry live instead of only at run teardown: the units executed
+	// since the last publication go out in one atomic add each time the
+	// scheduler resumes a parked thread, so accesses pay nothing, and
+	// the remainder goes out at teardown. The detection service turns it
+	// on so a /metrics scrape sees in-flight work; batch evaluation
+	// leaves it off and loses nothing — the same totals are flushed when
+	// the run ends. The live path stays allocation-free (benchgate's
+	// AccessSteadyStateMetrics run enforces it).
 	Metrics bool
 	// ExecMode selects the access execution path (DESIGN.md §12):
 	// ExecModeParallel ("" and the default) buffers accesses per thread
@@ -115,6 +117,7 @@ type Engine struct {
 	maxConcurrent     int
 	totalCSEntries    uint64
 	accessUnits       uint64
+	publishedUnits    uint64 // of accessUnits, already in obs (Config.Metrics)
 	tlbMissUnits      uint64
 	globalsRegistered int
 	running           bool
@@ -432,10 +435,10 @@ func (e *Engine) Run(body func(*Thread)) (*Stats, error) {
 // units, races, injector tallies, the address space's counters, and any
 // detector-held gauges — to the process-wide obs registry. Hot-path
 // signals are plain per-run fields flushed here in one batch, so the
-// access/translate path never pays an atomic (live per-access publishing
-// is opt-in via Config.Metrics, which makes this skip the access units it
-// already published). Idempotent; Run arranges exactly one call per run
-// on every exit path.
+// access/translate path never pays an atomic (live publishing of access
+// units is opt-in via Config.Metrics, and this adds only the units it
+// has not yet published). Idempotent; Run arranges exactly one call per
+// run on every exit path.
 func (e *Engine) finishObs(outcome string) {
 	if e.obsFlushed {
 		return
@@ -452,9 +455,7 @@ func (e *Engine) finishObs(outcome string) {
 	default:
 		m.SimRunsFailed.Inc()
 	}
-	if !e.cfg.Metrics {
-		m.SimAccessUnits.Add(e.accessUnits)
-	}
+	m.SimAccessUnits.Add(e.accessUnits - e.publishedUnits)
 	m.SimBatchDrains.Add(e.batchDrains)
 	for i, n := range e.batchDepth {
 		if n > 0 && i > 0 {
@@ -644,6 +645,9 @@ func (e *Engine) schedule(t *Thread) opResult {
 		}
 		w := e.ready[0]
 		e.ready = e.ready[:copy(e.ready, e.ready[1:])]
+		if e.cfg.Metrics {
+			e.publishUnits()
+		}
 		if w.t != t {
 			e.lock.Unlock()
 			w.t.resume <- w.r // pass the baton
@@ -669,6 +673,18 @@ func (e *Engine) schedule(t *Thread) opResult {
 		return opResult{}
 	}
 	return <-t.resume
+}
+
+// publishUnits publishes the access units executed since the last
+// publication (Config.Metrics). schedule calls it before every resume, so
+// a thread that returns from a park — a Flush included — finds the
+// accesses executed so far already counted, at one atomic add per park
+// rather than one per access.
+func (e *Engine) publishUnits() {
+	if d := e.accessUnits - e.publishedUnits; d > 0 {
+		obs.Std.SimAccessUnits.Add(d)
+		e.publishedUnits = e.accessUnits
+	}
 }
 
 // arrive admits a thread that parked: telemetry for a freshly drained
@@ -972,46 +988,34 @@ func (e *Engine) executeAccess(t *Thread, o op) {
 	e.wake(t, opResult{})
 }
 
-// accessCore performs one data access: translation through the dTLB per
-// touched page, the base access cost, and the detector hook. It runs on
-// the goroutine holding the baton for both the scalar path and the batch
-// replay, so the engine's scratch record is safe to reuse — a local
-// Access would escape to the heap through the OnAccess interface call,
-// costing one allocation per simulated access.
+// accessCore performs one data access: translation of the touched pages
+// through the dTLB as one page run, the base access cost, and the
+// detector hook. The run's misses and minor faults are charged in bulk;
+// the clock is a plain sum, so it ends where per-page charging would
+// have left it, and a failing page leaves the pages before it charged,
+// as a per-page loop would. It runs on the goroutine holding the baton
+// for both the scalar path and the batch replay, so the engine's scratch
+// record is safe to reuse — a local Access would escape to the heap
+// through the OnAccess interface call, costing one allocation per
+// simulated access.
 func (e *Engine) accessCore(t *Thread, obj *alloc.Object, off, size uint64, kind mpk.AccessKind, site string) error {
 	if obj.Freed() {
 		return fmt.Errorf("sim: thread %d use-after-free of %s at %s", t.id, obj, site)
 	}
 	addr := obj.Base + mem.Addr(off)
-	first, last := mem.PageRange(addr, size)
-	for p := first; p <= last; p++ {
-		a := p.Base()
-		if a < addr {
-			a = addr
-		}
-		_, miss, minor, err := e.space.Translate(a)
-		if err != nil {
-			return err
-		}
-		if miss {
-			t.charge(cycles.TLBMiss)
-			e.tlbMissUnits++
-			t.tlbMisses++
-		} else {
-			t.tlbHits++
-		}
-		if minor {
-			t.charge(cycles.MinorFault)
-		}
+	pages, misses, minors, err := e.space.TranslateRange(addr, size)
+	t.charge(cycles.Duration(misses)*cycles.TLBMiss + cycles.Duration(minors)*cycles.MinorFault)
+	e.tlbMissUnits += misses
+	t.tlbMisses += misses
+	t.tlbHits += pages - misses
+	if err != nil {
+		return err
 	}
 	e.scratch = Access{Thread: t, Object: obj, Addr: addr, Size: size, Kind: kind, Site: site}
 	units := e.scratch.Units()
 	t.charge(cycles.Duration(units) * cycles.Access)
 	t.accessUnits += units
 	e.accessUnits += units
-	if e.cfg.Metrics {
-		obs.Std.SimAccessUnits.Add(units)
-	}
 	t.charge(e.detector.OnAccess(&e.scratch))
 	return nil
 }
@@ -1059,9 +1063,6 @@ func (e *Engine) sweepCore(t *Thread, objs []*alloc.Object, size uint64, kind mp
 		t.charge(cycles.Duration(units) * cycles.Access)
 		t.accessUnits += units
 		e.accessUnits += units
-		if e.cfg.Metrics {
-			obs.Std.SimAccessUnits.Add(units)
-		}
 		t.charge(e.detector.OnAccess(&e.scratch))
 	}
 	return nil
@@ -1088,7 +1089,7 @@ type op struct {
 type opKind uint8
 
 var opNames = [...]string{
-	"compute", "malloc", "free", "access", "sweep", "lock", "unlock",
+	"start", "compute", "malloc", "free", "access", "sweep", "lock", "unlock",
 	"trylock", "barrier", "spawn", "join", "exit", "rlock", "runlock",
 	"wlock", "wunlock", "condwait", "condsignal", "condbroadcast",
 	"drain",
@@ -1102,7 +1103,12 @@ func (k opKind) String() string {
 }
 
 const (
-	opCompute opKind = iota
+	// opStart is the pending kind of a thread that has not parked yet: a
+	// started thread's pending op is the zero op, so a watchdog dump of
+	// a spawned thread still in the ready queue reads "ready after
+	// start". It is never executed.
+	opStart opKind = iota
+	opCompute
 	opMalloc
 	opFree
 	opAccess

@@ -100,6 +100,35 @@ func TestWatchdogReleasesPanickedThreadParkedOnExit(t *testing.T) {
 	waitGoroutines(t, base, "thread goroutines did not unwind")
 }
 
+// TestWatchdogDumpNamesUnstartedThread takes a watchdog dump while a
+// spawned child has never run: main holds the baton in host code right
+// after the spawn, so the child waits in the ready queue with the zero
+// pending operation, which the dump names as its start, not as a
+// compute.
+func TestWatchdogDumpNamesUnstartedThread(t *testing.T) {
+	base := runtime.NumGoroutine()
+	release := make(chan struct{})
+	e := New(Config{Watchdog: 10 * time.Millisecond}, nil)
+	_, err := e.Run(func(m *Thread) {
+		m.Go("child", func(*Thread) {})
+		<-release
+	})
+	close(release)
+	if !errors.Is(err, ErrWatchdog) {
+		t.Fatalf("got %v, want ErrWatchdog", err)
+	}
+	var line string
+	for _, l := range strings.Split(err.Error(), "\n") {
+		if strings.HasPrefix(l, "  thread 1 (child):") {
+			line = l
+		}
+	}
+	if !strings.HasSuffix(line, ", 0 ops, ready after start") {
+		t.Fatalf("dump line for the unstarted child = %q, want it ready after start:\n%s", line, err)
+	}
+	waitGoroutines(t, base, "thread goroutines did not unwind")
+}
+
 func TestWatchdogOffByDefault(t *testing.T) {
 	e := New(Config{}, nil)
 	st, err := e.Run(func(m *Thread) { m.Compute(100) })

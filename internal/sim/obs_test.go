@@ -65,12 +65,21 @@ func TestFinishObsPublishesRunTotals(t *testing.T) {
 }
 
 // TestMetricsLiveMode: with Config.Metrics on, access units are published
-// per access and NOT re-published at teardown (no double counting).
+// while the run goes on — a mid-run Flush returns with the flushed
+// accesses already counted — and what teardown adds completes the run's
+// total without counting anything twice.
 func TestMetricsLiveMode(t *testing.T) {
 	before := snapObs()
 	e := New(Config{Metrics: true}, nil)
+	var live, executed uint64
 	st, err := e.Run(func(m *Thread) {
 		obj := m.Malloc(64, "obj")
+		for i := 0; i < 25; i++ {
+			m.Write(obj, 0, 8, "w")
+		}
+		m.Flush()
+		live = obs.Std.SimAccessUnits.Value() - before.accessUnits
+		executed = m.accessUnits
 		for i := 0; i < 25; i++ {
 			m.Write(obj, 0, 8, "w")
 		}
@@ -78,8 +87,11 @@ func TestMetricsLiveMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if executed == 0 || live != executed {
+		t.Errorf("after a mid-run Flush the live counter held %d access units, want the %d executed so far", live, executed)
+	}
 	after := snapObs()
-	if got := after.accessUnits - before.accessUnits; got != st.AccessUnits {
+	if got := after.accessUnits - before.accessUnits; got != st.AccessUnits || got <= executed {
 		t.Errorf("live mode published %d access units, want exactly the run's %d", got, st.AccessUnits)
 	}
 }
